@@ -7,18 +7,19 @@ carries a CRC computed over a canonical encoding of its payload, and the
 receiving link layer recomputes and compares it. Fault injection corrupts
 the stored CRC, which is indistinguishable from bit rot on the wire.
 
-The CRC runs on every frame send *and* every receive, which makes it one
-of the hottest per-frame code paths in the simulator. It is therefore
-table-driven (one precomputed 256-entry table, one lookup per byte)
-rather than the classic bit-at-a-time loop; :func:`crc16_bitwise` keeps
-the reference implementation, and ``tests/test_net_frames.py`` pins the
-two to byte-for-byte identical outputs so published-frame checksums are
-unchanged.
+The CRC is CRC-16/CCITT-FALSE (polynomial 0x1021, initial value
+0xFFFF), computed by :func:`binascii.crc_hqx`. It runs on every frame
+send *and* every receive, so it is one of the hottest per-frame code
+paths in the simulator, and the C routine is much faster than any
+Python loop. ``tests/test_net_frames.py`` keeps a bit-at-a-time
+reference and pins :func:`crc16` to it, so published-frame checksums do
+not depend on how the CRC is computed.
 """
 
 from __future__ import annotations
 
 import itertools
+from binascii import crc_hqx
 from enum import Enum
 from typing import Any, NamedTuple, Optional
 
@@ -43,47 +44,13 @@ class DeadLetter(NamedTuple):
     attempts: int
 
 
-def crc16_bitwise(data: bytes) -> int:
-    """CRC-16/CCITT over ``data``, one bit at a time.
+def crc16(data: bytes) -> int:
+    """CRC-16/CCITT-FALSE over ``data`` — the frame checksum.
 
-    The reference implementation the table version is checked against.
     A real rotating checksum rather than Python's ``hash`` so that the
     value is stable across runs and processes.
     """
-    crc = 0xFFFF
-    for byte in data:
-        crc ^= byte << 8
-        for _ in range(8):
-            if crc & 0x8000:
-                crc = ((crc << 1) ^ 0x1021) & 0xFFFF
-            else:
-                crc = (crc << 1) & 0xFFFF
-    return crc
-
-
-def _build_crc16_table() -> tuple:
-    table = []
-    for byte in range(256):
-        crc = byte << 8
-        for _ in range(8):
-            if crc & 0x8000:
-                crc = ((crc << 1) ^ 0x1021) & 0xFFFF
-            else:
-                crc = (crc << 1) & 0xFFFF
-        table.append(crc)
-    return tuple(table)
-
-
-_CRC16_TABLE = _build_crc16_table()
-
-
-def crc16(data: bytes) -> int:
-    """CRC-16/CCITT over ``data`` — the frame checksum (table-driven)."""
-    crc = 0xFFFF
-    table = _CRC16_TABLE
-    for byte in data:
-        crc = ((crc << 8) & 0xFFFF) ^ table[(crc >> 8) ^ byte]
-    return crc
+    return crc_hqx(data, 0xFFFF)
 
 
 def canonical_bytes(payload: Any) -> bytes:

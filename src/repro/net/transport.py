@@ -180,7 +180,13 @@ class Transport:
         self.stats = TransportStats(self.obs.registry, prefix)
         self._queue_depth = self.obs.registry.timeavg(f"{prefix}.queue_depth")
         self._backoff_ms = self.obs.registry.histogram(f"{prefix}.backoff_ms")
+        #: global-window mode: the one FIFO of messages awaiting the window
         self._outq: Deque[_Outstanding] = deque()
+        #: per-destination mode: one FIFO of waiting messages and one
+        #: in-flight count per destination node, plus the total waiting
+        self._dst_queues: Dict[int, Deque[_Outstanding]] = {}
+        self._dst_busy: Dict[int, int] = {}
+        self._dst_waiting = 0
         self._in_flight: Dict[Tuple, _Outstanding] = {}
         #: coalesced retransmission timer wheel: all retry deadlines live
         #: in this local heap of ``(deadline, tick, out)`` and a single
@@ -228,44 +234,52 @@ class Transport:
             self.stats.sent += 1
             self.iface.send(self._frame_for(segment, total))
             return
-        self._outq.append(_Outstanding(segment, total))
+        out = _Outstanding(segment, total)
+        if self.config.per_destination:
+            queue = self._dst_queues.get(dst_node)
+            if queue is None:
+                queue = self._dst_queues[dst_node] = deque()
+            queue.append(out)
+            self._dst_waiting += 1
+        else:
+            self._outq.append(out)
         self._queue_depth.update(self.queue_depth)
-        self._pump()
+        self._pump(dst_node)
 
     def _frame_for(self, segment: Segment, size_bytes: int) -> Frame:
         return Frame(kind=FrameKind.DATA, src_node=self.node_id,
                      dst_node=segment.dst_node, payload=segment,
                      size_bytes=size_bytes)
 
-    def _pump(self) -> None:
-        """Start transmissions up to the window limit."""
+    def _pump(self, dst_node: int) -> None:
+        """Start transmissions up to the window limit after ``dst_node``
+        gained a queued message or a free window slot."""
+        window = self.config.window
+        in_flight = self._in_flight
         if not self.config.per_destination:
-            while self._outq and len(self._in_flight) < self.config.window:
-                out = self._outq.popleft()
-                self._in_flight[out.segment.uid] = out
+            queue = self._outq
+            while queue and len(in_flight) < window:
+                out = queue.popleft()
+                in_flight[out.segment.uid] = out
                 self._transmit(out)
             return
         # Per-destination windows: at most `window` outstanding per
-        # destination node, preserving per-destination FIFO order. One
-        # pass over the queue: startable messages move to `started`,
-        # everything else is kept in order — no per-item remove().
-        busy_dsts: Dict[int, int] = {}
-        for inflight in self._in_flight.values():
-            dst = inflight.segment.dst_node
-            busy_dsts[dst] = busy_dsts.get(dst, 0) + 1
-        started = []
-        remaining: Deque[_Outstanding] = deque()
-        for out in self._outq:
-            dst = out.segment.dst_node
-            if busy_dsts.get(dst, 0) >= self.config.window:
-                remaining.append(out)   # keep FIFO order within a destination
-                continue
-            busy_dsts[dst] = busy_dsts.get(dst, 0) + 1
-            started.append(out)
-        self._outq = remaining
-        for out in started:
-            self._in_flight[out.segment.uid] = out
+        # destination node, in FIFO order per destination. Every pump
+        # leaves each destination idle or full, so only `dst_node`'s
+        # queue can hold startable heads and the others are not visited.
+        queue = self._dst_queues.get(dst_node)
+        busy = self._dst_busy
+        while queue and busy.get(dst_node, 0) < window:
+            out = queue.popleft()
+            self._dst_waiting -= 1
+            busy[dst_node] = busy.get(dst_node, 0) + 1
+            in_flight[out.segment.uid] = out
             self._transmit(out)
+
+    def _release(self, out: _Outstanding) -> None:
+        """``out`` left ``_in_flight``: free its window slot."""
+        if self.config.per_destination:
+            self._dst_busy[out.segment.dst_node] -= 1
 
     def _retry_delay_ms(self, attempts: int) -> float:
         """The wait before declaring attempt ``attempts`` unacknowledged:
@@ -361,6 +375,7 @@ class Transport:
             # failures, which max_retries bounds for simulation hygiene.
             # The dead letter goes to `on_gave_up` instead of vanishing.
             del self._in_flight[out.segment.uid]
+            self._release(out)
             self._queue_depth.update(self.queue_depth)
             self.stats.gave_up += 1
             self.events.emit("gave_up", f"node{self.node_id}",
@@ -368,7 +383,7 @@ class Transport:
                              attempts=out.attempts)
             if self.on_gave_up is not None:
                 self.on_gave_up(out.segment, out.attempts)
-            self._pump()
+            self._pump(out.segment.dst_node)
             return
         self.events.emit("retransmit", f"node{self.node_id}",
                          dst=out.segment.dst_node, attempt=out.attempts)
@@ -378,8 +393,9 @@ class Transport:
         out = self._in_flight.pop(uid, None)
         if out is None:
             return
+        self._release(out)
         self._queue_depth.update(self.queue_depth)
-        self._pump()
+        self._pump(out.segment.dst_node)
         # The acked message's wheel entry is now stale; re-aiming prunes
         # it when it is the head, so a drained transport stops waking up.
         self._rearm_wheel()
@@ -495,6 +511,9 @@ class Transport:
             self._wheel = None
         self._in_flight.clear()
         self._outq.clear()
+        self._dst_queues.clear()
+        self._dst_busy.clear()
+        self._dst_waiting = 0
         self._dedup.clear()
         self._next_stream_seq.clear()
         self._expected_seq.clear()
@@ -510,4 +529,4 @@ class Transport:
     @property
     def queue_depth(self) -> int:
         """Messages queued or in flight (diagnostics)."""
-        return len(self._outq) + len(self._in_flight)
+        return len(self._outq) + self._dst_waiting + len(self._in_flight)

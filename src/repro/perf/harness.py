@@ -58,17 +58,17 @@ def _speed_ratio(current: Dict[str, Any], baseline: Dict[str, Any]) -> float:
     """How much slower the current run's machine demonstrably is than
     the baseline's, as a multiplier ≤ 1 for the comparison floor.
 
-    Conservative on both sides: the current run is judged by its
-    *slowest* calibration sample (throttling may have started
-    mid-suite) against the baseline's *fastest*. Never above 1 — a
-    faster machine does not tighten the gate. Reports without
-    calibration metadata (older baselines) compare unscaled."""
+    Like for like: each report is judged by its *slowest* calibration
+    sample (throttling may have started mid-suite), so a report
+    compared with itself scores exactly 1. Never above 1 — a faster
+    machine does not tighten the gate. Reports without calibration
+    metadata (older baselines) compare unscaled."""
     cur = current.get("meta", {}).get("calibration")
     base = baseline.get("meta", {}).get("calibration")
     if not cur or not base:
         return 1.0
     cur_speed = min(cur.values())
-    base_speed = max(base.values())
+    base_speed = min(base.values())
     if base_speed <= 0 or cur_speed <= 0:
         return 1.0
     return min(1.0, cur_speed / base_speed)

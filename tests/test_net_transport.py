@@ -208,39 +208,31 @@ def test_backoff_jitter_bounded_and_seed_deterministic():
 
 
 def test_per_destination_pump_is_linear_in_queue_depth():
-    """Benchmark-style regression for the O(n²) pump: starting n queued
-    messages to n distinct destinations used to cost one deque.remove()
-    (O(n)) per start. A single pass is linear, so quadrupling the queue
-    must not blow the cost up ~16x."""
+    """Benchmark-style regression for the O(n²) pump: draining n messages
+    queued to one destination used to rescan the whole queue on every
+    ack. Each ack now starts the next head of that destination's FIFO in
+    constant time, so quadrupling the queue must not blow the cost up
+    ~16x."""
     import time
 
-    from repro.net.transport import _Outstanding, Segment
-
-    def pump_seconds(depth):
-        engine = Engine()
-        medium = PerfectBroadcast(engine)
-        cfg = TransportConfig(per_destination=True, window=1)
-        t = Transport(engine, medium, 1, lambda s: None, cfg)
+    def drain_seconds(depth):
         best = float("inf")
         for _ in range(3):
-            t._outq.clear()
-            t._in_flight.clear()
+            engine = Engine()
+            medium = PerfectBroadcast(engine)
+            cfg = TransportConfig(per_destination=True, window=1)
+            t = Transport(engine, medium, 1, lambda s: None, cfg)
             for i in range(depth):
-                segment = Segment(uid=("p", i), src_node=1, dst_node=2 + i,
-                                  body=i, guaranteed=True)
-                t._outq.append(_Outstanding(segment, 160))
+                t.send(2, i, 128, uid=("p", i))
             start = time.perf_counter()
-            t._pump()
+            for i in range(depth):
+                t._complete(("p", i))
             best = min(best, time.perf_counter() - start)
-            t._in_flight.clear()
-            t._timers.clear()
-            if t._wheel is not None:
-                t._wheel.cancel()
-                t._wheel = None
+            assert t.queue_depth == 0
         return best
 
-    small, large = pump_seconds(500), pump_seconds(2000)
-    # Linear ⇒ ~4x; the old quadratic pump is ~16x. Leave slack for
+    small, large = drain_seconds(500), drain_seconds(2000)
+    # Linear ⇒ ~4x; the old rescanning pump is ~16x. Leave slack for
     # noisy CI machines.
     assert large < max(10 * small, 0.005), \
         f"pump scaled superlinearly: {small:.6f}s -> {large:.6f}s"

@@ -15,6 +15,7 @@ from repro.perf import (
     run_workload,
     write_report,
 )
+from repro.perf.harness import _speed_ratio
 
 #: the cheap workloads used where the test only needs *some* report
 FAST = ["engine_churn", "storm_token_ring"]
@@ -179,12 +180,26 @@ def test_compare_reports_normalises_by_machine_speed(smoke_report):
     current = copy.deepcopy(smoke_report)
     current["meta"]["calibration"] = {"before": 9.0e6, "after": 9.0e6}
     assert compare_reports(current, baseline, tolerance=0.25) == []
-    # calibration is judged conservatively: current by its slowest
-    # sample, baseline by its fastest
+    # calibration is judged like for like: each side by its slowest
+    # sample
     current["meta"]["calibration"] = {"before": 4.0e6, "after": 1.0e6}
     for work in current["workloads"]:
         work["ops_per_sec"] /= 4.0
     assert compare_reports(current, baseline, tolerance=0.25) == []
+
+
+def test_compare_reports_self_ratio_is_one_despite_calibration_spread(
+        smoke_report):
+    """Calibration samples 2x apart must not lower the floor when a
+    report is compared with itself: the 50% drop is still flagged."""
+    report = copy.deepcopy(smoke_report)
+    report["meta"]["calibration"] = {"before": 4.0e6, "after": 2.0e6}
+    assert _speed_ratio(report, report) == 1.0
+    current = copy.deepcopy(report)
+    current["workloads"][0]["ops_per_sec"] /= 2.0
+    failures = compare_reports(current, report, tolerance=0.25)
+    assert len(failures) == 1
+    assert current["workloads"][0]["name"] in failures[0]
 
 
 def test_suite_records_calibration(smoke_report):
