@@ -1,12 +1,9 @@
 """Micro-benchmarks for the per-frame hot spots: the C frame checksum
-(``binascii.crc_hqx``, vs the bit-loop reference), the frame CRC cache, the capacity
-sweep's model-reuse probe (vs rebuilding the model per probe), and the
-pooled-DES compact wire format (vs pickling every routed frame).
+(``binascii.crc_hqx``, vs the bit-loop reference), the frame CRC cache, and the
+capacity sweep's model-reuse probe (vs rebuilding the model per probe).
 
 These assert the optimizations actually pay: the C CRC must be at
-least 3x the bit-loop (typically ~250x) with byte-identical checksums,
-and the wire codec at least 2x whole-batch pickling (typically ~3x)
-with byte-identical frames back.
+least 3x the bit-loop (typically ~250x) with byte-identical checksums.
 """
 
 import random
@@ -14,8 +11,6 @@ import time
 from dataclasses import replace
 
 from repro.net.frames import Frame, FrameKind, crc16
-from repro.parallel.wire import decode_frame_batch, encode_frame_batch
-from repro.perf.baseline import pickle_frame_batch, unpickle_frame_batch
 from repro.queueing import OPERATING_POINTS, OpenQueueingModel, capacity_in_users
 
 from conftest import once, print_table
@@ -98,55 +93,6 @@ def test_frame_checksum_cache(benchmark):
                  ["cached", f"{t_warm * 1000:.3f}",
                   f"{t_cold / t_warm:.2f}x"]])
     assert t_warm < t_cold
-
-
-def _routed_batch(count=1000, seed=1983):
-    """A barrier's worth of routed frames, shaped like real gateway
-    traffic: a handful of distinct channels, small tuple payloads."""
-    rng = random.Random(seed)
-    items = []
-    for i in range(count):
-        frame = Frame(kind=FrameKind.DATA if i % 3 else FrameKind.ACK,
-                      src_node=100 + rng.randrange(8),
-                      dst_node=200 + rng.randrange(8),
-                      payload=("add", i, i * i),
-                      size_bytes=24 + rng.randrange(64))
-        items.append((i * 0.37 + 5.0, f"gw{4000 + 4 * rng.randrange(12)}",
-                      i, frame, rng.randrange(4)))
-    return items
-
-
-def test_wire_format_vs_pickle(benchmark):
-    """The pooled-DES barrier codec: flat struct records + one payload
-    pickle per batch must beat pickling the routed tuples wholesale."""
-    items = _routed_batch()
-    blob = encode_frame_batch(items)
-    pickled = pickle_frame_batch(items)
-
-    def wire_roundtrip():
-        return decode_frame_batch(encode_frame_batch(items))
-
-    def pickle_roundtrip():
-        return unpickle_frame_batch(pickle_frame_batch(items))
-
-    decoded = wire_roundtrip()
-    assert len(decoded) == len(items)
-    for got, want in zip(decoded, items):
-        assert got[:3] == want[:3] and got[4] == want[4]
-        assert got[3]._fields() == want[3]._fields()   # byte-identical frame
-
-    t_wire = _best_of(wire_roundtrip)
-    t_pickle = _best_of(pickle_roundtrip)
-    speedup = t_pickle / t_wire
-    once(benchmark, wire_roundtrip)
-    print_table("pooled-DES barrier codec: 1000-frame batch roundtrip",
-                ["variant", "ms / batch", "bytes", "speedup"],
-                [["pickle per frame graph", f"{t_pickle * 1000:.3f}",
-                  str(len(pickled)), "1.00x"],
-                 ["compact wire format", f"{t_wire * 1000:.3f}",
-                  str(len(blob)), f"{speedup:.2f}x"]])
-    assert len(blob) < len(pickled)
-    assert speedup >= 2.0, f"wire codec only {speedup:.2f}x vs pickle"
 
 
 def test_capacity_sweep_model_reuse(benchmark):

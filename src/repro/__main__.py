@@ -25,9 +25,9 @@ Commands:
   processes and merge the results deterministically
   (``--check`` proves parallel == serial digest-for-digest);
 * ``federation``  — run sharded-recorder federation cells across
-  cluster counts, digest-gating serial vs sweep-runner vs pooled
-  execution, and print the federation capacity model's knee against a
-  measured gateway (see ``docs/FEDERATION.md``).
+  cluster counts, digest-gating the serial run against the same cell
+  run by the sweep runner, and print the federation capacity model's
+  knee against a measured gateway (see ``docs/FEDERATION.md``).
 
 ``capacity``, ``utilization``, ``chaos`` (with ``--runs K``) and
 ``perf`` accept ``--parallel N`` to shard their work over N worker
@@ -503,59 +503,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
-def _cmd_des(args: argparse.Namespace) -> int:
-    from repro.parallel.des import DesScenario, equivalence_report
-
-    forward_delays = None
-    if args.spread_delays:
-        # A deterministic heterogeneous lookahead assignment: every
-        # third ring edge gets its own delay.
-        forward_delays = tuple(
-            ((i, (i + 1) % args.clusters), 3.0 + (i % 5) * 2.0)
-            for i in range(0, args.clusters, 3))
-    scenario = DesScenario(clusters=args.clusters,
-                           cluster_size=args.cluster_size,
-                           messages=args.messages,
-                           duration_ms=args.duration,
-                           topology=args.topology,
-                           master_seed=args.seed,
-                           forward_delays=forward_delays,
-                           recorder_lps=args.recorder_lps,
-                           lockstep=args.lockstep,
-                           batch_ms=args.batch_ms)
-    counts = tuple(args.des_workers or [2])
-    report = equivalence_report(scenario, worker_counts=counts,
-                                include_staged=True,
-                                include_pooled=not args.no_pool)
-    ok = report["equivalent"] or not args.check
-    if args.json or args.output:
-        _write_or_print(json.dumps(report, indent=2, sort_keys=True),
-                        args.output)
-    if not args.json or args.output:
-        print(f"parallel DES: {scenario.clusters} clusters "
-              f"({scenario.topology}), {scenario.messages} msg/driver, "
-              f"{scenario.duration_ms:.0f}ms sim")
-        for run in report["runs"]:
-            label = run["mode"]
-            if run["partitions"]:
-                label += f"({run['partitions']})"
-            print(f"  {label:<12} digest {run['digest'][:16]} "
-                  f"wall {run['wall_ms']:7.1f}ms "
-                  f"barriers {run['barriers']:<6} "
-                  f"workload {'ok' if run['workload_ok'] else 'INCOMPLETE'}")
-        print("equivalence: "
-              + ("byte-identical across all modes"
-                 if report["equivalent"] else "DIVERGED"))
-    return 0 if ok else 1
-
-
 def _cmd_federation(args: argparse.Namespace) -> int:
-    """The federation acceptance rig: every cell runs serial, through
-    the sweep runner (a separate OS process), and pooled — all three
-    must agree digest-for-digest — then the capacity model's knee is
-    paired with a driven gateway's measured saturation rate."""
+    """The federation acceptance rig: every cell runs serially and
+    through the sweep runner (a separate OS process), and the two must
+    agree digest-for-digest; then the capacity model's knee is paired
+    with a driven gateway's measured saturation rate."""
+    from repro.cluster.scenario import DesScenario, run_serial
     from repro.parallel import federation_tasks, run_tasks
-    from repro.parallel.des import DesScenario, run_pooled, run_serial
     from repro.queueing import OPERATING_POINTS
     from repro.queueing.federation import (
         FederationCapacityModel,
@@ -586,23 +540,17 @@ def _cmd_federation(args: argparse.Namespace) -> int:
                              duration_ms=args.duration,
                              seed=args.seed),
             max_workers=workers)[0]
-        pooled = run_pooled(scenario, workers=workers)
-        matches = (shard["payload"]["digest"] == serial["digest"]
-                   and pooled["digest"] == serial["digest"])
-        cell_ok = (matches and serial["workload_ok"]
-                   and pooled["workload_ok"])
-        ok = ok and cell_ok
+        matches = shard["payload"]["digest"] == serial["digest"]
+        ok = ok and matches and serial["workload_ok"]
         cells.append({
             "clusters": clusters,
             "nodes": clusters * args.cluster_size,
             "recorder_shards": args.shards,
             "digest": serial["digest"],
             "digests_match": matches,
-            "workload_ok": serial["workload_ok"] and pooled["workload_ok"],
+            "workload_ok": serial["workload_ok"],
             "frames_forwarded": serial["frames_forwarded"],
             "serial_wall_ms": round(serial["wall_ms"], 3),
-            "pooled_wall_ms": round(pooled["wall_ms"], 3),
-            "pooled_barriers": pooled["barriers"],
         })
     modeled_rate = modeled_gateway_knee_per_s(args.service_ms)
     gateway = measure_gateway_knee(
@@ -633,7 +581,6 @@ def _cmd_federation(args: argparse.Namespace) -> int:
             print(f"  {cell['clusters']:>4} clusters "
                   f"digest {cell['digest'][:16]} "
                   f"serial {cell['serial_wall_ms']:7.1f}ms "
-                  f"pooled {cell['pooled_wall_ms']:7.1f}ms "
                   f"{'MATCH' if cell['digests_match'] else 'DIVERGED'}")
         for topology, knee in capacity.items():
             print(f"  capacity[{topology}]: knee {knee['knee_users']} "
@@ -857,51 +804,9 @@ def main(argv=None) -> int:
                        help="write the merged report JSON to this file")
     sweep.set_defaults(fn=_cmd_sweep)
 
-    des = sub.add_parser(
-        "des", help="run one federation serially and conservatively "
-                    "partitioned (parallel DES) and compare digests")
-    des.add_argument("--clusters", type=int, default=8,
-                     help="clusters in the federation")
-    des.add_argument("--cluster-size", type=int, default=1,
-                     help="nodes per cluster")
-    des.add_argument("--messages", type=int, default=6,
-                     help="request/reply pairs per driver")
-    des.add_argument("--duration", type=float, default=3000.0,
-                     help="simulated run length after settle (ms)")
-    des.add_argument("--topology", default="ring",
-                     choices=["ring", "mesh"])
-    des.add_argument("--seed", type=int, default=1983)
-    des.add_argument("--des-workers", type=int, action="append",
-                     default=None, metavar="N",
-                     help="partition/worker count to test (repeatable; "
-                          "default 2)")
-    des.add_argument("--no-pool", action="store_true",
-                     help="skip the process-pool runs (staged only)")
-    des.add_argument("--recorder-lps", action="store_true",
-                     help="split each cluster's recorder onto its own "
-                          "LP behind zero-lookahead bridge channels")
-    des.add_argument("--lockstep", action="store_true",
-                     help="use the global-min-window baseline protocol "
-                          "instead of next-event promises")
-    des.add_argument("--batch-ms", type=float, default=None,
-                     metavar="MS",
-                     help="cap how far one barrier may advance any LP "
-                          "(default: unbounded idle fast-forward)")
-    des.add_argument("--spread-delays", action="store_true",
-                     help="assign heterogeneous per-edge gateway "
-                          "delays instead of one uniform lookahead")
-    des.add_argument("--check", action="store_true",
-                     help="exit 1 unless every mode's digest matches "
-                          "the serial run byte-for-byte")
-    des.add_argument("--json", action="store_true",
-                     help="emit the full report as JSON")
-    des.add_argument("--output", default=None,
-                     help="write the report JSON to this file")
-    des.set_defaults(fn=_cmd_des)
-
     federation = sub.add_parser(
         "federation", help="sharded-recorder federation scaling cells "
-                           "with a three-way digest gate and the "
+                           "with a serial-vs-sweep digest gate and the "
                            "capacity-model knee (docs/FEDERATION.md)")
     federation.add_argument("--clusters", type=int, action="append",
                             default=None, metavar="N",
@@ -920,14 +825,14 @@ def main(argv=None) -> int:
     federation.add_argument("--seed", type=int, default=1983)
     federation.add_argument("--workers", type=int, default=None,
                             metavar="N",
-                            help="worker processes for the sweep and "
-                                 "pooled comparisons (default 2)")
+                            help="worker processes for the sweep "
+                                 "comparison (default 2)")
     federation.add_argument("--service-ms", type=float, default=2.0,
                             help="gateway uplink serialisation time for "
                                  "the capacity section")
     federation.add_argument("--check", action="store_true",
-                            help="exit 1 unless every cell's three "
-                                 "execution modes agree digest-for-digest")
+                            help="exit 1 unless every cell's serial and "
+                                 "sweep-runner digests agree")
     federation.add_argument("--json", action="store_true",
                             help="emit the report as JSON")
     federation.add_argument("--output", default=None,

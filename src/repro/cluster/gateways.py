@@ -6,15 +6,13 @@ In these networks, a recorder can be attached to each cluster to
 perform recovery for that cluster alone. The great advantage to this
 scheme is autonomous control."
 
-A gateway is split into its two halves, because they are the only
-cross-cluster edges and therefore the natural cut line for partitioned
-(parallel) execution:
+A gateway has two halves, one on each medium:
 
 * :class:`GatewayTap` sits on the **near** medium and claims frames
   whose destination lives on the far side (the near medium's hardware
   ack completes the original sender's transmission — the gateway takes
-  custody). It stamps each claimed frame with its absolute forwarding
-  time (``now + forward_delay_ms``) and hands it to a channel.
+  custody). It schedules the claimed frame's hand-over to the forwarder
+  at ``now + forward_delay_ms``.
 * :class:`GatewayForwarder` sits on the **far** medium: it re-offers
   custody frames with itself as the frame-level source, retrying until
   the far side — including its recorder — accepts, and surfaces retry
@@ -23,18 +21,11 @@ cross-cluster edges and therefore the natural cut line for partitioned
   plus a ``gateway.drop`` trace event, mirroring
   ``Transport.on_gave_up``.
 
-:class:`Gateway` is the composite handle — both halves on one engine,
-joined by a same-engine channel — and keeps the original one-object
-API. In a partitioned federation the halves live on *different*
-engines, joined by a :class:`~repro.sim.engine.PartitionChannel` whose
-lookahead is exactly ``forward_delay_ms`` (see ``docs/PARALLEL_DES.md``).
+:class:`Gateway` is the composite handle over both halves.
 
 :class:`ClusterFederation` builds N :class:`repro.system.System`
-clusters with disjoint node-id ranges and gateway routing over a
-``mesh`` (default) or ``ring`` topology — on one engine
-(``partitions=None``), or on one engine per logical process
-(``partitions=P``) driven by a
-:class:`~repro.sim.engine.PartitionedEngine`.
+clusters on one engine, with disjoint node-id ranges and gateway
+routing over a ``mesh`` (default) or ``ring`` topology.
 
 Gateway/interface ids are deterministic: federation gateways derive
 them from the topology (edge rank and direction, starting at
@@ -54,7 +45,7 @@ from repro.errors import NetworkError
 from repro.net.frames import DeadLetter, Frame, FrameKind
 from repro.net.media import Medium, NetworkInterface
 from repro.obs import Observability, merge_event_streams, merge_snapshots
-from repro.sim.engine import Engine, EngineCore, PartitionChannel, PartitionedEngine
+from repro.sim.engine import Engine, EngineCore
 from repro.system import System, SystemConfig
 
 #: First gateway/interface id; each gateway consumes two ids (near and
@@ -113,9 +104,7 @@ def directed_gateways(clusters: int, topology: str = "mesh",
                       nodes_stride: int = 100) -> List[Tuple[int, int, int]]:
     """Every directed gateway as ``(gateway_id, src_cluster, dst_cluster)``.
 
-    Ids are a pure function of the topology and the id layout — every
-    process (and every pool worker rebuilding only its shard) computes
-    the same ids.
+    Ids are a pure function of the topology and the id layout.
     """
     first = gateway_id_base(clusters, nodes_stride)
     out: List[Tuple[int, int, int]] = []
@@ -129,9 +118,8 @@ def directed_gateways(clusters: int, topology: str = "mesh",
 class GatewayForwarder:
     """The far half: holds custody, re-offers, retries, dead-letters.
 
-    Frames enter through :meth:`accept` — directly scheduled by a
-    same-engine channel, or injected at a window barrier by the
-    partition scheduler.
+    Frames enter through :meth:`accept`, scheduled by the gateway's
+    :class:`GatewayTap`.
     """
 
     def __init__(self, engine: EngineCore, far: Medium, gateway_id: int,
@@ -265,17 +253,18 @@ class GatewayForwarder:
 
 
 class GatewayTap:
-    """The near half: claims far-bound frames and stamps their
-    forwarding time into a channel."""
+    """The near half: claims far-bound frames and hands each to the
+    forwarder ``forward_delay_ms`` later."""
 
     def __init__(self, engine: EngineCore, near: Medium,
-                 far_nodes: Callable[[int], bool], channel,
+                 far_nodes: Callable[[int], bool],
+                 forwarder: GatewayForwarder,
                  forward_delay_ms: float, gateway_id: int,
                  obs: Optional[Observability] = None):
         self.engine = engine
         self.near = near
         self.far_nodes = far_nodes
-        self.channel = channel
+        self.forwarder = forwarder
         self.forward_delay_ms = forward_delay_ms
         self.gateway_id = gateway_id
         self.up = True
@@ -300,7 +289,9 @@ class GatewayTap:
         if not frame.checksum_ok():
             return   # the near sender's transport will retry
         self._claimed.inc()
-        self.channel.send(self.engine.now + self.forward_delay_ms, frame)
+        engine = self.engine
+        engine.schedule_abs(engine.now + self.forward_delay_ms,
+                            self.forwarder.accept, frame)
 
     def crash(self) -> None:
         self.up = False
@@ -311,31 +302,10 @@ class GatewayTap:
         self.near_iface.up = True
 
 
-class _DirectChannel:
-    """A same-engine gateway edge: schedule delivery at the exact
-    stamped time (``schedule_abs`` — the same float ``schedule(delay)``
-    would compute, so serial and partitioned fire times are identical)."""
-
-    __slots__ = ("engine", "deliver")
-
-    def __init__(self, engine: EngineCore, deliver: Callable[[Frame], None]):
-        self.engine = engine
-        self.deliver = deliver
-
-    def send(self, fire_time: float, frame: Frame) -> None:
-        self.engine.schedule_abs(fire_time, self.deliver, frame)
-
-
 class Gateway:
-    """A one-directional store-and-forward bridge between two media.
-
-    The composite handle over a :class:`GatewayTap` and a
-    :class:`GatewayForwarder`. Constructed directly, both halves share
-    one engine (the classic serial gateway); a partitioned federation
-    builds the halves on different engines and wraps them with
-    :meth:`from_parts` (either half may be absent in a federation
-    *slice* that only owns one side).
-    """
+    """A one-directional store-and-forward bridge between two media:
+    the composite handle over a :class:`GatewayTap` and a
+    :class:`GatewayForwarder` on one engine."""
 
     def __init__(self, engine: EngineCore, near: Medium, far: Medium,
                  far_nodes: Callable[[int], bool],
@@ -359,77 +329,52 @@ class Gateway:
         self.retry_ms = retry_ms
         self.max_retries = max_retries
         self.gateway_id = gateway_id
-        self.forwarder: Optional[GatewayForwarder] = GatewayForwarder(
+        self.forwarder = GatewayForwarder(
             engine, far, gateway_id, retry_ms=retry_ms,
             max_retries=max_retries, service_ms=service_ms,
             obs=far_obs or shared, on_drop=on_drop)
-        self.tap: Optional[GatewayTap] = GatewayTap(
-            engine, near, far_nodes,
-            _DirectChannel(engine, self.forwarder.accept),
+        self.tap = GatewayTap(
+            engine, near, far_nodes, self.forwarder,
             forward_delay_ms, gateway_id, obs=near_obs or shared)
-
-    @classmethod
-    def from_parts(cls, gateway_id: int, tap: Optional[GatewayTap],
-                   forwarder: Optional[GatewayForwarder]) -> "Gateway":
-        """Wrap pre-built halves (partitioned federations)."""
-        gateway = cls.__new__(cls)
-        gateway.engine = (tap or forwarder).engine if (tap or forwarder) else None
-        gateway.near = tap.near if tap is not None else None
-        gateway.far = forwarder.far if forwarder is not None else None
-        gateway.far_nodes = tap.far_nodes if tap is not None else None
-        gateway.forward_delay_ms = (tap.forward_delay_ms
-                                    if tap is not None else None)
-        gateway.retry_ms = forwarder.retry_ms if forwarder is not None else None
-        gateway.max_retries = (forwarder.max_retries
-                               if forwarder is not None else None)
-        gateway.gateway_id = gateway_id
-        gateway.tap = tap
-        gateway.forwarder = forwarder
-        return gateway
 
     # -- compatibility attributes --------------------------------------
     @property
-    def near_iface(self) -> Optional[NetworkInterface]:
-        return self.tap.near_iface if self.tap is not None else None
+    def near_iface(self) -> NetworkInterface:
+        return self.tap.near_iface
 
     @property
-    def far_iface(self) -> Optional[NetworkInterface]:
-        return self.forwarder.far_iface if self.forwarder is not None else None
+    def far_iface(self) -> NetworkInterface:
+        return self.forwarder.far_iface
 
     @property
     def frames_claimed(self) -> int:
-        return self.tap.frames_claimed if self.tap is not None else 0
+        return self.tap.frames_claimed
 
     @property
     def frames_forwarded(self) -> int:
-        return self.forwarder.frames_forwarded if self.forwarder else 0
+        return self.forwarder.frames_forwarded
 
     @property
     def retries(self) -> int:
-        return self.forwarder.retries if self.forwarder is not None else 0
+        return self.forwarder.retries
 
     @property
     def frames_dropped(self) -> int:
-        return self.forwarder.frames_dropped if self.forwarder else 0
+        return self.forwarder.frames_dropped
 
     @property
     def up(self) -> bool:
-        return ((self.tap is None or self.tap.up)
-                and (self.forwarder is None or self.forwarder.up))
+        return self.tap.up and self.forwarder.up
 
     # ------------------------------------------------------------------
     def crash(self) -> None:
         """Fail both halves: claiming stops, custody frames are lost."""
-        if self.tap is not None:
-            self.tap.crash()
-        if self.forwarder is not None:
-            self.forwarder.crash()
+        self.tap.crash()
+        self.forwarder.crash()
 
     def restart(self) -> None:
-        if self.tap is not None:
-            self.tap.restart()
-        if self.forwarder is not None:
-            self.forwarder.restart()
+        self.tap.restart()
+        self.forwarder.restart()
 
 
 def bridge(engine: Engine, medium_a: Medium, medium_b: Medium,
@@ -446,28 +391,15 @@ def bridge(engine: Engine, medium_a: Medium, medium_b: Medium,
 
 
 class ClusterFederation:
-    """Several publishing clusters, fully bridged.
+    """Several publishing clusters, fully bridged, on one engine.
 
     Each cluster is an independent :class:`System` — own medium, own
     recorder, own recovery manager ("each cluster can decide for itself
     how and whether or not it will perform recovery") — with disjoint
     node-id ranges so pids are globally unambiguous.
 
-    ``partitions=None`` (default) runs every cluster on one shared
-    engine. ``partitions=P`` groups the clusters into P logical
-    processes, one engine each, with every cross-LP gateway split into
-    a tap + forwarder joined by a lookahead-stamped
-    :class:`~repro.sim.engine.PartitionChannel`; a
-    :class:`~repro.sim.engine.PartitionedEngine` advances the LPs in
-    lookahead-bounded windows. Event order is byte-identical to the
-    serial engine (see ``docs/PARALLEL_DES.md`` and
-    ``tests/test_des_equivalence.py``).
-
-    ``only_partition=k`` builds just LP *k*'s slice — its clusters,
-    taps for outgoing edges and forwarders for incoming ones — for
-    process-pool workers that rebuild their shard from config and
-    exchange frames at barriers (:mod:`repro.parallel.des`). A slice
-    cannot :meth:`run` itself; its pool master drives the windows.
+    ``partitions`` stays so that callers passing ``partitions=None``
+    keep working; any other value is refused.
     """
 
     def __init__(self, cluster_sizes: List[int], nodes_stride: int = 100,
@@ -475,11 +407,6 @@ class ClusterFederation:
                  configs: Optional[List[SystemConfig]] = None,
                  partitions: Optional[int] = None,
                  topology: str = "mesh",
-                 only_partition: Optional[int] = None,
-                 forward_delays: Optional[Dict[Tuple[int, int], float]] = None,
-                 recorder_lps: bool = False,
-                 lockstep: bool = False,
-                 batch_ms: Optional[float] = None,
                  gateway_service_ms: float = 0.0):
         if not cluster_sizes:
             raise NetworkError("a federation needs at least one cluster")
@@ -492,43 +419,12 @@ class ClusterFederation:
             raise NetworkError(
                 f"unknown federation topology {topology!r}; "
                 f"choose from {TOPOLOGIES}")
-        if partitions is not None and partitions < 1:
-            raise NetworkError(f"partitions must be >= 1, got {partitions}")
+        if partitions is not None:
+            raise NetworkError(
+                f"partitions={partitions!r}: a federation always runs on "
+                f"one engine")
         self.topology = topology
         self.forward_delay_ms = forward_delay_ms
-        #: directed (src_cluster, dst_cluster) -> forwarding delay;
-        #: edges not listed fall back to ``forward_delay_ms``. The delay
-        #: is both the gateway's store-and-forward latency and the
-        #: matching channel's lookahead, so a slow edge buys its
-        #: destination a *wider* safe window instead of throttling
-        #: everyone to the global minimum.
-        self.forward_delays: Dict[Tuple[int, int], float] = dict(
-            forward_delays or {})
-        for edge, delay in self.forward_delays.items():
-            if delay <= 0:
-                raise NetworkError(
-                    f"forward delay for edge {edge} must be positive, "
-                    f"got {delay}")
-        self.partitions = (None if partitions is None
-                           else min(partitions, count))
-        lps = self.partitions or 1
-        if only_partition is not None:
-            if self.partitions is None:
-                raise NetworkError("only_partition requires partitions")
-            if not 0 <= only_partition < lps:
-                raise NetworkError(
-                    f"only_partition {only_partition} out of range "
-                    f"(partitions={lps})")
-        self.only_partition = only_partition
-        #: recorder LPs: when partitioned, each cluster's recorder runs
-        #: on its own engine (LP id ``partitions + cluster_index``)
-        #: bridged to the cluster medium by zero-lookahead channels
-        #: whose safety comes from next-event promises plus the
-        #: medium's interpacket-gap spacing (see repro.system). Ignored
-        #: for the serial reference engine.
-        self.recorder_lps = bool(recorder_lps and self.partitions is not None)
-        self.lockstep = lockstep
-        self.batch_ms = batch_ms
         self.nodes_stride = nodes_stride
         self.gateway_service_ms = gateway_service_ms
 
@@ -570,44 +466,16 @@ class ClusterFederation:
             self.configs.append(config)
             self._node_sets.append(nodes)
 
-        def lp_of(index: int) -> int:
-            return index * lps // count
-
-        self.lp_of = lp_of
-        local_lps = (tuple(range(lps)) if only_partition is None
-                     else (only_partition,))
-        self.engines: Dict[int, Engine] = {lp: Engine() for lp in local_lps}
-        #: serial-compat handle (LP 0's engine when partitioned)
-        self.engine = self.engines[min(self.engines)]
-        #: cluster index -> System, local clusters only (all of them
-        #: unless this is a slice)
+        self.engine = Engine()
+        #: cluster index -> System
         self.systems: Dict[int, System] = {}
-        #: bridge channels of local recorder LPs (a subset of
-        #: ``self.channels``); the recorder LP of cluster ``i`` has LP
-        #: id ``partitions + i``
-        self.bridge_channels: List[PartitionChannel] = []
         for index, config in enumerate(self.configs):
-            lp = lp_of(index)
-            if lp in self.engines:
-                recorder_engine = None
-                if self.recorder_lps and config.publishing:
-                    recorder_engine = Engine()
-                system = System(config, engine=self.engines[lp],
-                                recorder_engine=recorder_engine)
-                system.federation = self
-                system.cluster_index = index
-                self.systems[index] = system
-                if recorder_engine is not None:
-                    recorder_lp = lps + index
-                    self.engines[recorder_lp] = recorder_engine
-                    for channel in system.bridge_channels:
-                        channel.src = (lp if channel.src == 0
-                                       else recorder_lp)
-                        channel.dst = (lp if channel.dst == 0
-                                       else recorder_lp)
-                        self.bridge_channels.append(channel)
+            system = System(config, engine=self.engine)
+            system.federation = self
+            system.cluster_index = index
+            self.systems[index] = system
         self.clusters: List[System] = [self.systems[i]
-                                       for i in sorted(self.systems)]
+                                       for i in range(count)]
         #: one :class:`DeadLetter` (gateway_id, frame, attempts) for
         #: every custody frame a gateway finally dropped — the
         #: federation's dead-letter ledger, same shape as
@@ -615,48 +483,16 @@ class ClusterFederation:
         self.dead_letters: List[DeadLetter] = []
 
         self.gateways: List[Gateway] = []
-        self.channels: List[PartitionChannel] = list(self.bridge_channels)
         for gid, src, dst in directed_gateways(count, topology, nodes_stride):
-            src_lp, dst_lp = lp_of(src), lp_of(dst)
-            delay = self.forward_delays.get((src, dst), forward_delay_ms)
-            far_nodes = (lambda node, _far=self._node_sets[dst]: node in _far)
-            if src_lp == dst_lp:
-                if src_lp not in self.engines:
-                    continue
-                self.gateways.append(Gateway(
-                    self.engines[src_lp], self.systems[src].medium,
-                    self.systems[dst].medium, far_nodes,
-                    forward_delay_ms=delay, gateway_id=gid,
-                    service_ms=gateway_service_ms,
-                    near_obs=self.systems[src].obs,
-                    far_obs=self.systems[dst].obs,
-                    on_drop=self._note_gateway_drop))
-                continue
-            if src_lp not in self.engines and dst_lp not in self.engines:
-                continue
-            channel = PartitionChannel(f"gw{gid}", src_lp, dst_lp,
-                                       lookahead_ms=delay)
-            forwarder = tap = None
-            if dst_lp in self.engines:
-                forwarder = GatewayForwarder(
-                    self.engines[dst_lp], self.systems[dst].medium, gid,
-                    service_ms=gateway_service_ms,
-                    obs=self.systems[dst].obs,
-                    on_drop=self._note_gateway_drop)
-                channel.deliver = forwarder.accept
-            if src_lp in self.engines:
-                tap = GatewayTap(
-                    self.engines[src_lp], self.systems[src].medium,
-                    far_nodes, channel, delay, gid,
-                    obs=self.systems[src].obs)
-            self.gateways.append(Gateway.from_parts(gid, tap, forwarder))
-            self.channels.append(channel)
-
-        self.scheduler: Optional[PartitionedEngine] = None
-        if self.partitions is not None and only_partition is None:
-            self.scheduler = PartitionedEngine(
-                dict(self.engines), self.channels,
-                lockstep=lockstep, batch_ms=batch_ms)
+            self.gateways.append(Gateway(
+                self.engine, self.systems[src].medium,
+                self.systems[dst].medium,
+                lambda node, _far=self._node_sets[dst]: node in _far,
+                forward_delay_ms=forward_delay_ms, gateway_id=gid,
+                service_ms=gateway_service_ms,
+                near_obs=self.systems[src].obs,
+                far_obs=self.systems[dst].obs,
+                on_drop=self._note_gateway_drop))
 
     # ------------------------------------------------------------------
     def _note_gateway_drop(self, gateway_id: int, frame: Frame,
@@ -665,16 +501,13 @@ class ClusterFederation:
 
     def gateway_edges(self) -> Dict[int, Tuple[int, int]]:
         """``gateway_id -> (src_cluster, dst_cluster)`` for every
-        directed edge of the topology — including edges whose gateway
-        object lives on a remote slice."""
+        directed edge of the topology."""
         return {gid: (src, dst) for gid, src, dst in directed_gateways(
             len(self.configs), self.topology, self.nodes_stride)}
 
     @property
     def now(self) -> float:
-        """Current federation time (the last barrier when partitioned)."""
-        if self.scheduler is not None:
-            return self.scheduler.now
+        """Current federation time."""
         return self.engine.now
 
     def boot(self, settle_ms: float = 500.0) -> None:
@@ -686,41 +519,16 @@ class ClusterFederation:
                 system.checkpoint_all()
 
     def run(self, duration_ms: float) -> float:
-        if self.only_partition is not None:
-            raise NetworkError(
-                "a federation slice is driven by its pool master, "
-                "not run() (see repro.parallel.des)")
-        if self.scheduler is not None:
-            return self.scheduler.run(until=self.scheduler.now + duration_ms)
         return self.engine.run(until=self.engine.now + duration_ms)
-
-    def local_scheduler(self) -> PartitionedEngine:
-        """A scheduler over this slice's engines and fully-local channels.
-
-        Pool workers drive their slice with this: the parent's window
-        grants bound how far the whole group may run, while the local
-        scheduler handles the intra-worker micro-windows (cluster medium
-        <-> recorder LP bridges) without any pipe traffic. Channels with
-        a remote end are excluded — the pool master exchanges those.
-        """
-        local = dict(self.engines)
-        channels = [c for c in self.channels
-                    if c.src in local and c.dst in local]
-        return PartitionedEngine(local, channels, batch_ms=self.batch_ms)
 
     def cluster_of(self, node_id: int) -> System:
         for index, nodes in enumerate(self._node_sets):
             if node_id in nodes:
-                system = self.systems.get(index)
-                if system is None:
-                    raise NetworkError(
-                        f"node {node_id} belongs to cluster {index}, which "
-                        f"is outside this federation slice")
-                return system
+                return self.systems[index]
         raise NetworkError(f"node {node_id} is in no cluster")
 
     def placements(self) -> List[object]:
-        """Each local cluster's shard map (None for unsharded clusters)."""
+        """Each cluster's shard map (None for unsharded clusters)."""
         return [system.placement for system in self.clusters]
 
     # ------------------------------------------------------------------
@@ -739,9 +547,8 @@ class ClusterFederation:
         (the primary claims cross-cluster traffic, so it holds the
         passive replay log a remote recovery replays from)."""
         for index in self.neighbours_of(home_index):
-            system = self.systems.get(index)
-            if (system is not None and system.recorder is not None
-                    and system.recorder.up):
+            system = self.systems[index]
+            if system.recorder is not None and system.recorder.up:
                 return index
         raise NetworkError(
             f"no gateway neighbour of cluster {home_index} has a live "
@@ -769,9 +576,7 @@ class ClusterFederation:
         home = self.cluster_of(node_id)
         if helper is None:
             helper = self._pick_helper(home.cluster_index)
-        helper_sys = self.systems.get(helper)
-        if helper_sys is None:
-            raise NetworkError(f"cluster {helper} is outside this slice")
+        helper_sys = self.systems[helper]
         recorder = helper_sys.recorder
         manager = helper_sys.recovery
         if recorder is None or not recorder.up or manager is None:
@@ -818,7 +623,7 @@ class ClusterFederation:
     # ------------------------------------------------------------------
     def metrics_snapshot(self) -> Dict[str, object]:
         """Every cluster's metrics in one snapshot, keys prefixed
-        ``cluster.<index>.`` — the per-LP registries merged back into a
+        ``cluster.<index>.`` — the per-cluster registries merged into a
         single spine view."""
         return merge_snapshots(
             (f"cluster.{index}", self.systems[index].metrics_snapshot())

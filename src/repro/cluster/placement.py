@@ -149,9 +149,7 @@ def placement_digest(placements: Sequence[ClusterPlacement]) -> str:
 class RangeShardPolicy:
     """Split a cluster's node range into ``shards`` contiguous slices.
 
-    Shard j claims ``[first + j*n//k, first + (j+1)*n//k)`` — the same
-    integer arithmetic as the partitioned engine's
-    :func:`~repro.cluster.gateways.ClusterFederation.lp_of`, so slice
+    Shard j claims ``[first + j*n//k, first + (j+1)*n//k)``, so slice
     widths differ by at most one node and the map depends only on
     ``(first_node_id, nodes, shards)``.
     """

@@ -50,8 +50,8 @@ def merge_snapshots(
 
     Each part's keys are prefixed ``<label>.``; the merged snapshot is
     key-sorted so it serializes canonically regardless of part order.
-    Used by partitioned federations to present per-LP registries as a
-    single snapshot.
+    Used by federations to present per-cluster registries as a single
+    snapshot.
     """
     merged: Dict[str, Any] = {}
     for label, snapshot in parts:

@@ -109,11 +109,11 @@ def run_figure57_shard(params: Dict[str, Any]) -> _Result:
 
 
 def run_federation_shard(params: Dict[str, Any]) -> _Result:
-    """One federation cell: a sharded-recorder DES scenario run on the
-    single-engine reference path. The payload is the cell's federation
-    digest plus its workload outcome, so a sweep over cluster counts is
-    digest-gated exactly like the :mod:`repro.parallel.des` modes."""
-    from repro.parallel.des import DesScenario, run_serial
+    """One federation cell: a sharded-recorder scenario run on one
+    engine. The payload is the cell's federation digest plus its
+    workload outcome, so a sweep over cluster counts is digest-gated
+    against :func:`repro.cluster.scenario.run_serial`."""
+    from repro.cluster.scenario import DesScenario, run_serial
 
     scenario = DesScenario(
         clusters=params["clusters"],

@@ -20,35 +20,17 @@ property test drive identical operation sequences through this and
 :class:`repro.publishing.database.ProcessRecord` and require identical
 answers.
 
-:func:`pickle_frame_batch` / :func:`unpickle_frame_batch` are the same
-idea for the pooled-DES barrier exchange: whole-object pickling of
-every routed frame tuple, exactly what crossed the worker pipes before
-the compact columnar codec (:mod:`repro.parallel.wire`) replaced it.
-The ``benchmarks/test_micro_hotpaths.py`` wire-format benchmark drives
-identical batches through both and requires identical frames back.
-
 Do not optimize this module: its slowness is the point.
 """
 
 from __future__ import annotations
 
 import heapq
-import pickle
 from typing import Any, Callable, List, Optional, Set, Tuple
 
 from repro.errors import RecorderError, SimulationError
 
 NEGATIVE_DELAY_EPSILON_MS = 1e-9
-
-
-def pickle_frame_batch(items: List[Tuple]) -> bytes:
-    """The pre-optimization barrier encoding: pickle the routed-frame
-    tuples wholesale, one full object graph per frame."""
-    return pickle.dumps(items, protocol=pickle.HIGHEST_PROTOCOL)
-
-
-def unpickle_frame_batch(data: bytes) -> List[Tuple]:
-    return pickle.loads(data)
 
 
 class BaselineEventHandle:

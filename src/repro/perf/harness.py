@@ -32,7 +32,7 @@ DEFAULT_BEST_OF = 3
 
 #: deterministic facts that must be bit-identical across repetitions
 _SEED_PURE_KEYS = ("ops", "events", "sim_ms", "event_digest",
-                   "replay_digest", "des_digest")
+                   "replay_digest")
 
 #: iterations of the calibration loop (see _calibrate)
 _CALIBRATION_ITERS = 200_000

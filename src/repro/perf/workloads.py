@@ -683,222 +683,6 @@ def sweep_scaling(seed: int, smoke: bool) -> Dict[str, Any]:
     }
 
 
-_DES_SMOKE = (6, 4, 1500.0)     # clusters, messages, duration_ms
-_DES_FULL = (32, 6, 3000.0)
-_DES_WORKER_COUNTS = (1, 2, 4)
-
-
-def parallel_des(seed: int, smoke: bool) -> Dict[str, Any]:
-    """One federation simulated serially vs conservatively partitioned.
-
-    Unlike :func:`sweep_scaling` (independent runs sharded over a
-    pool), this partitions a *single* simulation: one LP per cluster
-    group, synchronized through gateway-lookahead windows
-    (docs/PARALLEL_DES.md). The serial run and every pooled run must
-    produce byte-identical per-cluster digests — the determinism
-    contract — so the scaling figures can never describe divergent
-    runs. The speedup is bounded by the machine's core count and the
-    barrier cadence — expect ~1x (or below, from barrier overhead) on a
-    single-core box.
-    """
-    from repro.parallel.des import DesScenario, run_pooled, run_serial
-
-    clusters, messages, duration_ms = _DES_SMOKE if smoke else _DES_FULL
-    scenario = DesScenario(clusters=clusters, messages=messages,
-                           duration_ms=duration_ms, master_seed=seed)
-    serial = run_serial(scenario)
-    if not serial["workload_ok"]:
-        raise PerfDivergence("parallel_des: serial workload incomplete")
-    workers_out: Dict[str, Dict[str, float]] = {
-        "serial": {"wall_ms": round(serial["wall_ms"], 3)}}
-    digests = [serial["digest"]]
-    for workers in _DES_WORKER_COUNTS:
-        pooled = run_pooled(scenario, workers=workers)
-        digests.append(pooled["digest"])
-        workers_out[str(workers)] = {
-            "wall_ms": round(pooled["wall_ms"], 3),
-            "barriers": pooled["barriers"],
-            "messages_exchanged": pooled["messages_exchanged"],
-        }
-        if not pooled["workload_ok"]:
-            raise PerfDivergence(
-                f"parallel_des: pooled workload incomplete at "
-                f"{workers} workers")
-    if len(set(digests)) != 1:
-        raise PerfDivergence(
-            f"parallel_des: digests varied with execution mode: "
-            f"{[d[:12] for d in digests]}")
-
-    def speedup(workers: int) -> float:
-        wall = workers_out[str(workers)]["wall_ms"]
-        return round(serial["wall_ms"] / wall, 3) if wall else 0.0
-
-    return {
-        "ops": clusters * messages,     # completed request/reply pairs
-        "events": serial["frames_forwarded"],
-        "sim_ms": round(serial["sim_ms"], 6),
-        "wall_ms": workers_out["serial"]["wall_ms"],
-        # one serial run of a small federation: tens of ms, dominated
-        # by load jitter — the digest-equality check above is the gate,
-        # not the wall clock (same reasoning as des_scaling)
-        "throughput_gated": False,
-        "workers": workers_out,
-        "speedup_2_workers": speedup(2),
-        "speedup_4_workers": speedup(4),
-        "des_digest": digests[0][:16],
-        "event_digest": digests[0],
-    }
-
-
-#: scaling grid: (cluster counts, messages, duration_ms, worker counts)
-_DES_SCALING_SMOKE = ((6,), 4, 3000.0, (1, 2))
-_DES_SCALING_FULL = ((8, 16), 6, 6000.0, (1, 2, 4, 8))
-#: serial reference repetitions: the best-of wall is the ops/sec
-#: denominator (one run is ~tens of ms — scheduler noise would
-#: dominate a single sample), and every repetition must reproduce the
-#: same digest (a free determinism check)
-_DES_SCALING_SERIAL_REPS = 3
-#: full-mode wall-clock gate: the promise protocol must beat the
-#: retained lockstep baseline by this factor at this worker count on
-#: the largest federation (measured ~2.6x on a 1-core container; the
-#: barrier collapse — ~150 vs ~2200 — is what the gate pins)
-_DES_SCALING_GATE_WORKERS = 4
-_DES_SCALING_GATE = 1.7
-
-
-def _des_scaling_delays(
-        clusters: int) -> Tuple[Tuple[Tuple[int, int], float], ...]:
-    """A deterministic heterogeneous lookahead assignment: every third
-    ring edge gets a distinct delay so the per-channel lookahead path
-    (not just the uniform default) is what gets measured."""
-    return tuple(((i, (i + 1) % clusters), 3.0 + (i % 5) * 2.0)
-                 for i in range(0, clusters, 3))
-
-
-def des_scaling(seed: int, smoke: bool) -> Dict[str, Any]:
-    """The multi-core scaling curve of the pooled DES promise protocol.
-
-    For each cluster count, one federation with heterogeneous
-    per-channel lookaheads is run serially (the reference), then pooled
-    at each worker count under both sync protocols: the promise
-    protocol (per-channel lookahead + next-event promises + idle
-    fast-forward) and the retained ``lockstep`` global-min-window
-    baseline it replaced. Every cell must reproduce the serial digest
-    exactly — a scaling figure is only reported for byte-identical
-    runs — and the full-mode gate requires the promise protocol to beat
-    lockstep by :data:`_DES_SCALING_GATE` at
-    :data:`_DES_SCALING_GATE_WORKERS` workers on the largest
-    federation. ``speedup_vs_serial`` is informational: on a single
-    assignable core it sits below 1x (process + barrier overhead with
-    no parallel hardware); the protocol win shows up as barrier-count
-    collapse, which is core-count independent.
-    """
-    import os
-
-    from repro.parallel.des import DesScenario, run_pooled, run_serial
-    from repro.parallel.runner import canonical_json
-
-    cluster_counts, messages, duration_ms, worker_counts = (
-        _DES_SCALING_SMOKE if smoke else _DES_SCALING_FULL)
-    grid: Dict[str, Any] = {}
-    digests: Dict[str, str] = {}
-    ops = 0
-    events = 0
-    wall_ms = 0.0
-    gate_ratio: float = 0.0
-    for clusters in cluster_counts:
-        base = dict(clusters=clusters, messages=messages,
-                    duration_ms=duration_ms, master_seed=seed,
-                    forward_delays=_des_scaling_delays(clusters))
-        promise = DesScenario(**base)
-        lockstep = DesScenario(**base, lockstep=True)
-        serial = run_serial(promise)
-        if not serial["workload_ok"]:
-            raise PerfDivergence(
-                f"des_scaling[{clusters}]: serial workload incomplete")
-        for _ in range(_DES_SCALING_SERIAL_REPS - 1):
-            again = run_serial(promise)
-            if again["digest"] != serial["digest"]:
-                raise PerfDivergence(
-                    f"des_scaling[{clusters}]: serial run is not "
-                    f"deterministic ({again['digest'][:12]} != "
-                    f"{serial['digest'][:12]})")
-            if again["wall_ms"] < serial["wall_ms"]:
-                serial = again
-        ops += clusters * messages
-        events += serial["frames_forwarded"]
-        wall_ms += serial["wall_ms"]
-        digests[str(clusters)] = serial["digest"]
-        cells: Dict[str, Any] = {
-            "serial": {"wall_ms": round(serial["wall_ms"], 3)}}
-        for workers in worker_counts:
-            row: Dict[str, Any] = {}
-            for label, scenario in (("promise", promise),
-                                    ("lockstep", lockstep)):
-                run = run_pooled(scenario, workers=workers)
-                if run["digest"] != serial["digest"]:
-                    raise PerfDivergence(
-                        f"des_scaling[{clusters}]: {label} digest "
-                        f"diverged at {workers} workers "
-                        f"({run['digest'][:12]} != "
-                        f"{serial['digest'][:12]})")
-                if not run["workload_ok"]:
-                    raise PerfDivergence(
-                        f"des_scaling[{clusters}]: {label} workload "
-                        f"incomplete at {workers} workers")
-                row[label] = {
-                    "wall_ms": round(run["wall_ms"], 3),
-                    "barriers": run["barriers"],
-                    "messages_exchanged": run["messages_exchanged"],
-                }
-                # the top-level wall accumulates every cell, not just
-                # the serial reference: pooled runs dominate the
-                # grid's cost, and a denominator of many independent
-                # runs keeps the derived ops/sec stable enough for the
-                # compare_reports tolerance on a noisy CI box
-                wall_ms += run["wall_ms"]
-            promise_wall = row["promise"]["wall_ms"]
-            row["speedup_vs_lockstep"] = (
-                round(row["lockstep"]["wall_ms"] / promise_wall, 3)
-                if promise_wall else 0.0)
-            row["speedup_vs_serial"] = (
-                round(serial["wall_ms"] / promise_wall, 3)
-                if promise_wall else 0.0)
-            cells[str(workers)] = row
-            if (clusters == cluster_counts[-1]
-                    and workers == _DES_SCALING_GATE_WORKERS):
-                gate_ratio = row["speedup_vs_lockstep"]
-        grid[str(clusters)] = cells
-    if not smoke and _DES_SCALING_GATE_WORKERS in worker_counts:
-        if gate_ratio < _DES_SCALING_GATE:
-            raise PerfDivergence(
-                f"des_scaling: promise protocol only "
-                f"{gate_ratio:.2f}x vs lockstep at "
-                f"{_DES_SCALING_GATE_WORKERS} workers on "
-                f"{cluster_counts[-1]} clusters "
-                f"(gate {_DES_SCALING_GATE}x)")
-    event_digest = hashlib.sha256(
-        canonical_json(digests).encode()).hexdigest()
-    return {
-        "ops": ops,
-        "events": events,
-        "sim_ms": round(500.0 + duration_ms, 6),
-        "wall_ms": round(wall_ms, 6),
-        "cpu_count": os.cpu_count(),
-        # wall_ms sums dozens of short subprocess runs: the figure is
-        # dominated by process-spawn latency and load jitter, not by
-        # any hot path this suite optimises. The real gates are the
-        # per-cell digest equality, the internal >=1.7x
-        # promise-vs-lockstep ratio above, and the exact event_digest
-        # pin in compare_reports — so the generic ops/sec tolerance is
-        # opted out of rather than widened for everyone.
-        "throughput_gated": False,
-        "grid": grid,
-        "gate_speedup_vs_lockstep": gate_ratio,
-        "event_digest": event_digest,
-    }
-
-
 # ----------------------------------------------------------------------
 # epidemic repair frontier (publishing.gossip)
 # ----------------------------------------------------------------------
@@ -1173,12 +957,12 @@ def federation_scaling(seed: int, smoke: bool) -> Dict[str, Any]:
 
     Each cell is one ring federation of two-node clusters, every
     cluster's recorder split into two claim-filtered shards
-    (``cluster.placement``), run three ways: the single-engine serial
-    reference, the same scenario as an independent shard through the
-    :mod:`repro.parallel` sweep runner (a separate OS process — the
-    cross-process determinism check), and the promise-sync pooled
-    parallel DES. All three must produce byte-identical federation
-    digests, so a scaling figure can never describe divergent runs.
+    (``cluster.placement``), run two ways: the single-engine serial
+    reference, and the same scenario as an independent shard through
+    the :mod:`repro.parallel` sweep runner (a separate OS process — the
+    cross-process determinism check). Both must produce byte-identical
+    federation digests, so a scaling figure can never describe
+    divergent runs.
 
     The capacity section pairs the federation-level queueing model
     (:class:`~repro.queueing.federation.FederationCapacityModel`) with a
@@ -1187,8 +971,8 @@ def federation_scaling(seed: int, smoke: bool) -> Dict[str, Any]:
     against a *driven* :class:`~repro.cluster.gateways.Gateway`'s
     measured knee, with the relative error recorded per topology.
     """
+    from repro.cluster.scenario import DesScenario, run_serial
     from repro.parallel import federation_tasks, run_tasks
-    from repro.parallel.des import DesScenario, run_pooled, run_serial
     from repro.parallel.runner import canonical_json
     from repro.queueing import OPERATING_POINTS
     from repro.queueing.federation import (
@@ -1223,18 +1007,9 @@ def federation_scaling(seed: int, smoke: bool) -> Dict[str, Any]:
                 f"federation_scaling[{clusters}]: sweep-runner digest "
                 f"diverged from serial ({shard['payload']['digest'][:12]} "
                 f"!= {serial['digest'][:12]})")
-        pooled = run_pooled(scenario, workers=2)
-        if pooled["digest"] != serial["digest"]:
-            raise PerfDivergence(
-                f"federation_scaling[{clusters}]: pooled digest diverged "
-                f"from serial ({pooled['digest'][:12]} != "
-                f"{serial['digest'][:12]})")
-        if not pooled["workload_ok"]:
-            raise PerfDivergence(
-                f"federation_scaling[{clusters}]: pooled workload incomplete")
         ops += clusters * messages
         events += serial["frames_forwarded"]
-        wall_ms += serial["wall_ms"] + pooled["wall_ms"]
+        wall_ms += serial["wall_ms"]
         digests[str(clusters)] = serial["digest"]
         grid[str(clusters)] = {
             "nodes": clusters * cluster_size,
@@ -1242,8 +1017,6 @@ def federation_scaling(seed: int, smoke: bool) -> Dict[str, Any]:
             "frames_forwarded": serial["frames_forwarded"],
             "dead_letters": serial["dead_letters"],
             "serial_wall_ms": round(serial["wall_ms"], 3),
-            "pooled_wall_ms": round(pooled["wall_ms"], 3),
-            "pooled_barriers": pooled["barriers"],
             "digest": serial["digest"][:16],
         }
     # -- capacity section: modeled knee per topology vs a driven gateway
@@ -1271,11 +1044,10 @@ def federation_scaling(seed: int, smoke: bool) -> Dict[str, Any]:
         "events": events,
         "sim_ms": round(500.0 + duration_ms, 6),
         "wall_ms": round(wall_ms, 6),
-        # wall_ms sums many short federation builds across process
-        # boundaries — spawn latency and load jitter dominate, so the
-        # gates are the three-way digest equality per cell and the
-        # exact event_digest pin, not the generic ops/sec tolerance
-        # (same reasoning as des_scaling).
+        # wall_ms sums a few short federation runs — load jitter
+        # dominates, so the gates are the serial-vs-sweep-runner digest
+        # equality per cell and the exact event_digest pin, not the
+        # generic ops/sec tolerance.
         "throughput_gated": False,
         "largest_federation": max(counts),
         "grid": grid,
@@ -1295,8 +1067,6 @@ WORKLOADS: Dict[str, Callable[[int, bool], Dict[str, Any]]] = {
     "recorder_scaling": recorder_scaling,
     "chaos_campaign": chaos_campaign,
     "sweep_scaling": sweep_scaling,
-    "parallel_des": parallel_des,
-    "des_scaling": des_scaling,
     "gossip_repair": gossip_repair,
     "adversary_quorum": adversary_quorum,
     "federation_scaling": federation_scaling,

@@ -10,8 +10,6 @@ from repro.sim.engine import (
     Engine,
     EngineCore,
     EventHandle,
-    PartitionChannel,
-    PartitionedEngine,
     Signal,
 )
 from repro.sim.rng import RngStreams
@@ -21,8 +19,6 @@ __all__ = [
     "Engine",
     "EngineCore",
     "EventHandle",
-    "PartitionChannel",
-    "PartitionedEngine",
     "Signal",
     "RngStreams",
     "TraceLog",

@@ -1,12 +1,15 @@
 """Planet-scale federation: sharded recorder placement, gateway
-partitions, and cross-cluster recovery (ISSUE 10).
+partitions, and cross-cluster recovery.
 
-Three contracts pinned here:
+Four contracts pinned here:
 
+* **Serial event order** — the federation engine's full event stream
+  for a fixed scenario hashes to a committed digest, so any change to
+  gateway hand-over timing or event ordering is caught.
 * **Placement determinism** — the same topology and policy always
   produce byte-identical shard maps, and a sharded federation's event
-  stream hashes identically to the serial reference however the shards
-  are placed (hypothesis over random topologies).
+  stream hashes identically on every run however the shards are placed
+  (hypothesis over random topologies).
 * **Partition tolerance** — a gateway or inter-cluster partition drops
   frames *in flight* but dead-letters nothing: custody frames ride the
   link-level retry budget across the outage, so a healed partition is
@@ -14,7 +17,7 @@ Three contracts pinned here:
 * **Cross-cluster recovery** — with a cluster's recorder shard down, a
   process recovers by replaying from a *remote* cluster's passively
   recorded log, routed through the gateways, and the replay digest is
-  identical to the no-crash run (the ISSUE 10 acceptance scenario).
+  identical to the no-crash run.
 """
 
 import pytest
@@ -35,8 +38,8 @@ from repro.cluster.placement import (
     placement_priority_vectors,
     policy_from_name,
 )
-from repro.errors import PlacementError, ReproError
-from repro.parallel.des import DesScenario, run_serial, run_staged
+from repro.errors import NetworkError, PlacementError
+from repro.cluster.scenario import DES_VOLATILE_METRICS, DesScenario, run_serial
 from repro.publishing.multi_recorder import process_state_digest
 
 from conftest import CounterProgram, DriverProgram
@@ -128,20 +131,43 @@ class TestPlacementPolicies:
 # ----------------------------------------------------------------------
 # sharded federations vs the serial reference
 # ----------------------------------------------------------------------
+class TestSerialEventOrder:
+    SMALL = DesScenario(clusters=6, messages=4, duration_ms=1500.0)
+
+    def test_six_cluster_digest_is_pinned(self):
+        result = run_serial(self.SMALL)
+        assert result["workload_ok"]
+        assert result["digest"] == (
+            "082c8358f5976c547506d30734f8305a8f03fe291f1740071273fc832c71c176")
+
+    def test_partitions_other_than_none_are_refused(self):
+        with pytest.raises(NetworkError):
+            ClusterFederation([1, 1], partitions=2)
+
+
+class TestDigestScope:
+    SMALL = DesScenario(clusters=4, messages=4, duration_ms=1500.0)
+
+    def test_digest_covers_metrics(self):
+        # Two scenarios differing only in traffic must not collide.
+        a = run_serial(self.SMALL)
+        b = run_serial(DesScenario(clusters=4, messages=5,
+                                   duration_ms=1500.0))
+        assert a["digest"] != b["digest"]
+
+    def test_volatile_metrics_documented(self):
+        # The only excluded metric is the engine-global event counter,
+        # which counts every cluster's events on the shared engine.
+        assert DES_VOLATILE_METRICS == {"sim.events_fired"}
+
+
 class TestShardedFederationDigests:
     def test_sharded_run_matches_serial_reference(self):
         scenario = DesScenario(clusters=3, cluster_size=2,
                                recorder_shards=2, messages=3,
                                duration_ms=2000.0)
         serial = run_serial(scenario)
-        staged = run_staged(scenario, partitions=2)
-        assert serial["workload_ok"] and staged["workload_ok"]
-        assert staged["digest"] == serial["digest"]
-
-    def test_recorder_shards_and_recorder_lps_are_exclusive(self):
-        with pytest.raises(ReproError):
-            DesScenario(clusters=2, recorder_shards=2,
-                        recorder_lps=True).validate()
+        assert serial["workload_ok"]
 
     @given(st.integers(2, 4), st.integers(1, 3), st.integers(1, 2),
            st.sampled_from(["ring", "mesh"]))
