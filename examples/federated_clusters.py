@@ -15,7 +15,7 @@ Run:  python examples/federated_clusters.py
 """
 
 from repro import Program
-from repro.cluster import ClusterFederation
+from repro.cluster.gateways import ClusterFederation
 from repro.demos.ids import ProcessId
 from repro.demos.links import Link
 

@@ -209,14 +209,14 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 
 def _build_demo_campaign(nodes: int):
     """The fixed demo campaign: one of everything, well spaced."""
-    from repro.chaos import (
-        ChaosCampaign,
+    from repro.chaos.actions import (
         CrashNode,
         CrashRecorder,
         DiskStall,
         Partition,
         RestartRecorder,
     )
+    from repro.chaos.campaign import ChaosCampaign
     node_ids = list(range(1, nodes + 1))
     actions = [CrashNode(2000.0, node=node_ids[-1])]
     if len(node_ids) >= 2:
@@ -231,7 +231,8 @@ def _build_demo_campaign(nodes: int):
 
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
-    from repro.chaos import load_campaign, monkey_campaign, run_scenario
+    from repro.chaos.campaign import load_campaign, monkey_campaign
+    from repro.chaos.workload import run_scenario
     from repro.sim.rng import RngStreams
 
     if args.runs > 1:
@@ -288,8 +289,9 @@ def _cmd_gossip(args: argparse.Namespace) -> int:
     budget) dead-letters instead — the reliability gap the repair path
     closes.
     """
-    from repro.chaos import (ChaosCampaign, CrashNode, CrashRecorder,
-                             RestartRecorder, run_scenario)
+    from repro.chaos.actions import CrashNode, CrashRecorder, RestartRecorder
+    from repro.chaos.campaign import ChaosCampaign
+    from repro.chaos.workload import run_scenario
 
     def build_campaign():
         # Traffic spans roughly 0.7-2.8 s simulated; the outage window

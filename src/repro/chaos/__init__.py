@@ -6,113 +6,3 @@ the seed-determined monkey pick them; then assert the thesis's
 reliability promises held. See ``docs/CHAOS.md`` and
 ``docs/ADVERSARY.md``.
 """
-
-from repro.chaos.actions import (
-    ACTION_KINDS,
-    BoundRecorderBuffers,
-    ByzantineRecorderFault,
-    ChaosAction,
-    CrashNode,
-    CrashProcess,
-    CrashRecorder,
-    DiskSlowdown,
-    DiskStall,
-    EquivocateSender,
-    GatewayCrash,
-    GatewayPartition,
-    GatewayRestart,
-    GossipLoss,
-    Heal,
-    InterclusterPartition,
-    Partition,
-    RestartNode,
-    RestartRecorder,
-    action_from_dict,
-)
-from repro.chaos.adversary import (
-    BYZANTINE_MODES,
-    AdversaryPipeline,
-    BoundedBufferRecorder,
-    ByzantineRecorder,
-    EquivocatingSender,
-    EquivocationPlan,
-    QuorumScenarioResult,
-    feed_record,
-    install_bounded,
-    install_byzantine,
-    install_equivocator,
-    install_stage,
-    run_quorum_scenario,
-)
-from repro.chaos.campaign import (
-    MONKEY_KINDS,
-    CampaignReport,
-    ChaosCampaign,
-    InvariantCheck,
-    build_report,
-    check_invariants,
-    load_campaign,
-    monkey_campaign,
-)
-from repro.chaos.workload import (
-    CHAOS_COUNTER_IMAGE,
-    CHAOS_DRIVER_IMAGE,
-    ChaosCounter,
-    ChaosDriver,
-    ScenarioResult,
-    expected_total,
-    register_chaos_programs,
-    run_scenario,
-)
-
-__all__ = [
-    "ACTION_KINDS",
-    "BYZANTINE_MODES",
-    "CHAOS_COUNTER_IMAGE",
-    "CHAOS_DRIVER_IMAGE",
-    "AdversaryPipeline",
-    "BoundRecorderBuffers",
-    "BoundedBufferRecorder",
-    "ByzantineRecorder",
-    "ByzantineRecorderFault",
-    "CampaignReport",
-    "ChaosAction",
-    "ChaosCampaign",
-    "ChaosCounter",
-    "ChaosDriver",
-    "CrashNode",
-    "CrashProcess",
-    "CrashRecorder",
-    "DiskSlowdown",
-    "DiskStall",
-    "EquivocateSender",
-    "EquivocatingSender",
-    "EquivocationPlan",
-    "GatewayCrash",
-    "GatewayPartition",
-    "GatewayRestart",
-    "GossipLoss",
-    "Heal",
-    "InterclusterPartition",
-    "InvariantCheck",
-    "MONKEY_KINDS",
-    "Partition",
-    "QuorumScenarioResult",
-    "RestartNode",
-    "RestartRecorder",
-    "ScenarioResult",
-    "action_from_dict",
-    "build_report",
-    "check_invariants",
-    "expected_total",
-    "feed_record",
-    "install_bounded",
-    "install_byzantine",
-    "install_equivocator",
-    "install_stage",
-    "load_campaign",
-    "monkey_campaign",
-    "register_chaos_programs",
-    "run_quorum_scenario",
-    "run_scenario",
-]

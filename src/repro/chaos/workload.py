@@ -14,19 +14,15 @@ deadline), settle, and return the report.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
-from repro.chaos.campaign import (
-    CampaignReport,
-    ChaosCampaign,
-    InvariantCheck,
-    build_report,
-    check_invariants,
-)
 from repro.demos.ids import ProcessId
 from repro.demos.links import Link
 from repro.demos.process import Program
 from repro.system import System, SystemConfig
+
+if TYPE_CHECKING:
+    from repro.chaos.campaign import CampaignReport, ChaosCampaign
 
 CHAOS_COUNTER_IMAGE = "chaos/counter"
 CHAOS_DRIVER_IMAGE = "chaos/driver"
@@ -142,6 +138,7 @@ def run_scenario(campaign: ChaosCampaign,
     The workload-correctness invariant — every counter ended at
     1+2+...+n exactly once — is appended to the report's checks.
     """
+    from repro.chaos.campaign import InvariantCheck, build_report, check_invariants
     overrides = dict(config_overrides or {})
     system = System(SystemConfig(nodes=nodes, master_seed=master_seed,
                                  medium=medium,

@@ -1,43 +1,9 @@
-"""Cluster configurations (§6.2)."""
+"""Cluster configurations (§6.2).
 
-from repro.cluster.gateways import (
-    GATEWAY_ID_BASE,
-    ClusterFederation,
-    Gateway,
-    GatewayForwarder,
-    GatewayTap,
-    bridge,
-    directed_gateways,
-    federation_edges,
-    gateway_id_base,
-)
-from repro.cluster.placement import (
-    RECORDER_ID_OFFSET,
-    ClusterPlacement,
-    LoadBalancedShardPolicy,
-    RangeShardPolicy,
-    RecorderShard,
-    placement_digest,
-    placement_priority_vectors,
-    policy_from_name,
-)
-
-__all__ = [
-    "GATEWAY_ID_BASE",
-    "RECORDER_ID_OFFSET",
-    "ClusterFederation",
-    "ClusterPlacement",
-    "Gateway",
-    "GatewayForwarder",
-    "GatewayTap",
-    "LoadBalancedShardPolicy",
-    "RangeShardPolicy",
-    "RecorderShard",
-    "bridge",
-    "directed_gateways",
-    "federation_edges",
-    "gateway_id_base",
-    "placement_digest",
-    "placement_priority_vectors",
-    "policy_from_name",
-]
+* :mod:`repro.cluster.gateways` — LAN clusters joined by
+  store-and-forward gateways into a :class:`ClusterFederation`;
+* :mod:`repro.cluster.placement` — recorder shards that split one
+  cluster's node range;
+* :mod:`repro.cluster.scenario` — the serial federation scenario and
+  its digests.
+"""

@@ -16,33 +16,3 @@ overhear every message. This package provides that substrate:
 * :mod:`repro.net.transport` — guaranteed/unguaranteed messages, duplicate
   suppression, end-to-end acknowledgements, and in-order delivery (§4.3.3).
 """
-
-from repro.net.frames import Frame, FrameKind, crc16, BROADCAST
-from repro.net.faults import FaultPlan
-from repro.net.media import Medium, NetworkInterface, PerfectBroadcast, MediumStats
-from repro.net.ethernet import CsmaEthernet, EthernetParams
-from repro.net.acking_ethernet import AckingEthernet
-from repro.net.token_ring import TokenRing, TokenRingParams
-from repro.net.star import StarHub
-from repro.net.transport import Transport, TransportConfig, TransportStats
-
-__all__ = [
-    "Frame",
-    "FrameKind",
-    "crc16",
-    "BROADCAST",
-    "FaultPlan",
-    "Medium",
-    "NetworkInterface",
-    "PerfectBroadcast",
-    "MediumStats",
-    "CsmaEthernet",
-    "EthernetParams",
-    "AckingEthernet",
-    "TokenRing",
-    "TokenRingParams",
-    "StarHub",
-    "Transport",
-    "TransportConfig",
-    "TransportStats",
-]

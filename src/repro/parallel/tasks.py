@@ -20,7 +20,8 @@ _Result = Tuple[Dict[str, Any], Dict[str, Any]]
 def run_chaos_shard(params: Dict[str, Any]) -> _Result:
     """One seeded chaos scenario: monkey (default) or an explicit
     campaign spec dict, run against the counter/driver workload."""
-    from repro.chaos import load_campaign, monkey_campaign, run_scenario
+    from repro.chaos.campaign import load_campaign, monkey_campaign
+    from repro.chaos.workload import run_scenario
     from repro.sim.rng import RngStreams
 
     seed = params["seed"]

@@ -591,7 +591,8 @@ def recorder_scaling(seed: int, smoke: bool) -> Dict[str, Any]:
 def chaos_campaign(seed: int, smoke: bool) -> Dict[str, Any]:
     """A seeded monkey campaign against the counter workload — the
     heaviest integration path: faults, retries, replays, watchdogs."""
-    from repro.chaos import monkey_campaign, run_scenario
+    from repro.chaos.campaign import monkey_campaign
+    from repro.chaos.workload import run_scenario
 
     messages = 10 if smoke else 30
     horizon = 4_000.0 if smoke else 10_000.0
@@ -734,7 +735,8 @@ def gossip_repair(seed: int, smoke: bool) -> Dict[str, Any]:
     the compare gate pins two-run determinism of the loss injection,
     the fanout draws, and the repair order.
     """
-    from repro.chaos import ChaosCampaign, run_scenario
+    from repro.chaos.campaign import ChaosCampaign
+    from repro.chaos.workload import run_scenario
 
     cells = _GOSSIP_SMOKE if smoke else _GOSSIP_FULL
     messages = 8 if smoke else 18

@@ -20,54 +20,3 @@
   buffers, gap tracking, and pull-based hole repair on top of the
   passive recorder (see ``docs/GOSSIP.md``).
 """
-
-from repro.publishing.disk import DiskModel, DiskParams, DiskArray
-from repro.publishing.stable_storage import StableStorage
-from repro.publishing.database import ProcessRecord, LoggedMessage, RecorderDatabase
-from repro.publishing.recovery_time import RecoveryTimeModel, RecoveryTimeParams
-from repro.publishing.checkpoints import (
-    young_interval,
-    CheckpointPolicy,
-    YoungIntervalPolicy,
-    RecoveryTimeBoundPolicy,
-    StorageBalancePolicy,
-)
-from repro.publishing.watchdog import Watchdog
-from repro.publishing.gossip import (
-    GapTracker,
-    GossipBuffer,
-    GossipConfig,
-    GossipCoordinator,
-    ReceptionLoss,
-)
-from repro.publishing.recorder import Recorder, RecorderConfig
-from repro.publishing.recovery_manager import RecoveryManager
-from repro.publishing.multi_recorder import PriorityVectors, MultiRecorderCoordinator
-
-__all__ = [
-    "DiskModel",
-    "DiskParams",
-    "DiskArray",
-    "StableStorage",
-    "ProcessRecord",
-    "LoggedMessage",
-    "RecorderDatabase",
-    "RecoveryTimeModel",
-    "RecoveryTimeParams",
-    "young_interval",
-    "CheckpointPolicy",
-    "YoungIntervalPolicy",
-    "RecoveryTimeBoundPolicy",
-    "StorageBalancePolicy",
-    "Watchdog",
-    "GapTracker",
-    "GossipBuffer",
-    "GossipConfig",
-    "GossipCoordinator",
-    "ReceptionLoss",
-    "Recorder",
-    "RecorderConfig",
-    "RecoveryManager",
-    "PriorityVectors",
-    "MultiRecorderCoordinator",
-]

@@ -21,7 +21,7 @@ Typical use::
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.demos.costs import CostModel
 from repro.demos.ids import ProcessId, kernel_pid
@@ -38,6 +38,10 @@ from repro.demos.sysprocs import (
     ProcessManager,
 )
 from repro.errors import ReproError
+# Every medium is imported here, not when it is built: perfbench's
+# tracer wraps the ``Medium.transmit`` overrides that exist when it is
+# installed, before any System is built, so a medium imported on first
+# use would silently drop out of the traced profile.
 from repro.net.acking_ethernet import AckingEthernet
 from repro.net.ethernet import CsmaEthernet
 from repro.net.faults import FaultPlan
@@ -47,17 +51,15 @@ from repro.net.star import StarHub
 from repro.net.token_ring import TokenRing
 from repro.net.transport import TransportConfig
 from repro.publishing.checkpoints import CheckpointPolicy, install_policy
-from repro.publishing.gossip import (
-    GossipConfig,
-    GossipCoordinator,
-    ReceptionLoss,
-)
 from repro.publishing.recorder import Recorder, RecorderConfig
 from repro.publishing.recovery_manager import RecoveryManager
 from repro.obs import Observability
 from repro.sim.engine import Engine
 from repro.sim.rng import RngStreams
 from repro.sim.trace import TraceLog
+
+if TYPE_CHECKING:
+    from repro.publishing.gossip import GossipCoordinator, ReceptionLoss
 
 #: Media selectable by name in :class:`SystemConfig`.
 MEDIA = ("broadcast", "acking_ethernet", "csma_ethernet", "star", "token_ring")
@@ -202,6 +204,7 @@ class System:
         if self.config.publishing and self.config.gossip_loss_rate > 0.0:
             self.install_reception_loss(self.config.gossip_loss_rate)
         if self.config.publishing and self.config.gossip:
+            from repro.publishing.gossip import GossipConfig, GossipCoordinator
             self.gossip = GossipCoordinator(self, GossipConfig(
                 buffer_depth=self.config.gossip_buffer_depth,
                 round_ms=self.config.gossip_round_ms,
@@ -368,6 +371,7 @@ class System:
         action lands here mid-run.
         """
         if self.reception_loss is None:
+            from repro.publishing.gossip import ReceptionLoss
             self.reception_loss = ReceptionLoss(
                 self.rng.stream("gossip/loss"),
                 self.config.gossip_loss_rate if rate is None else rate,

@@ -301,7 +301,8 @@ class TestBoundedBufferRecorder:
 # set-convergence contract of tests/test_gossip.py
 # ----------------------------------------------------------------------
 def run_gossip(seed, n, loss_rate, depth):
-    from repro.chaos import ChaosCampaign, run_scenario
+    from repro.chaos.campaign import ChaosCampaign
+    from repro.chaos.workload import run_scenario
     return run_scenario(
         ChaosCampaign([], name="bounded_gossip"), nodes=2, pairs=1,
         messages=n, master_seed=seed, checkpoint_policy=None,

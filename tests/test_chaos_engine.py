@@ -11,8 +11,7 @@ import json
 import pytest
 
 from repro import System, SystemConfig
-from repro.chaos import (
-    ChaosCampaign,
+from repro.chaos.actions import (
     CrashNode,
     CrashRecorder,
     DiskSlowdown,
@@ -22,11 +21,14 @@ from repro.chaos import (
     RestartNode,
     RestartRecorder,
     action_from_dict,
+)
+from repro.chaos.campaign import (
+    ChaosCampaign,
     check_invariants,
     load_campaign,
     monkey_campaign,
-    run_scenario,
 )
+from repro.chaos.workload import run_scenario
 from repro.errors import ReproError, StorageError
 from repro.net.faults import FaultPlan
 from repro.net.media import PerfectBroadcast

@@ -14,17 +14,17 @@ gating, recorder restart reconciliation, and ack tracing in one run.
 import pytest
 
 from repro import System, SystemConfig
-from repro.chaos import (
+from repro.chaos.actions import (
     ByzantineRecorderFault,
-    ChaosCampaign,
     CrashNode,
     CrashRecorder,
     DiskStall,
     EquivocateSender,
     Partition,
     RestartRecorder,
-    run_scenario,
 )
+from repro.chaos.campaign import ChaosCampaign
+from repro.chaos.workload import run_scenario
 
 from conftest import expected_totals, register_test_programs
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro import Program
-from repro.cluster import ClusterFederation
+from repro.cluster.gateways import ClusterFederation
 from repro.errors import NetworkError
 
 from conftest import CounterProgram, DriverProgram
@@ -342,7 +342,7 @@ class TestDeadLetterLedger:
         """Bugfix regression: the chaos ``no_dead_letters`` invariant
         must see the federation's gateway ledger, not only the member
         systems' transport ledgers."""
-        from repro.chaos import check_invariants
+        from repro.chaos.campaign import check_invariants
 
         fed = build_federation((2, 1))
         a, b = fed.clusters
@@ -370,7 +370,8 @@ class TestDeadLetterLedger:
 
 class TestGatewayChaos:
     def test_gateway_crash_mid_traffic_then_recovery(self):
-        from repro.chaos import ChaosCampaign, GatewayCrash
+        from repro.chaos.actions import GatewayCrash
+        from repro.chaos.campaign import ChaosCampaign
 
         fed = build_federation()
         a, b = fed.clusters
@@ -394,7 +395,11 @@ class TestGatewayChaos:
         assert gateway.up
 
     def test_gateway_crash_action_is_idempotent(self):
-        from repro.chaos import GatewayCrash, GatewayRestart, action_from_dict
+        from repro.chaos.actions import (
+            GatewayCrash,
+            GatewayRestart,
+            action_from_dict,
+        )
 
         fed = build_federation()
         a = fed.clusters[0]

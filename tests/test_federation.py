@@ -24,12 +24,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro import SystemConfig
-from repro.chaos import (
+from repro.chaos.actions import (
     GatewayPartition,
     InterclusterPartition,
     action_from_dict,
 )
-from repro.cluster import ClusterFederation
+from repro.cluster.gateways import ClusterFederation
 from repro.cluster.placement import (
     RECORDER_ID_OFFSET,
     LoadBalancedShardPolicy,

@@ -7,14 +7,14 @@ pinned by a hypothesis differential against the lossless recorder.
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from repro import System, SystemConfig
-from repro.chaos import (
-    ChaosCampaign,
+from repro.chaos.actions import (
     CrashNode,
     CrashRecorder,
     GossipLoss,
     RestartRecorder,
-    run_scenario,
 )
+from repro.chaos.campaign import ChaosCampaign
+from repro.chaos.workload import run_scenario
 from repro.demos.ids import MessageId, ProcessId
 from repro.demos.messages import Message
 from repro.publishing.gossip import GapTracker, GossipBuffer, pull_ranges
@@ -291,7 +291,7 @@ def test_gossip_loss_action_sets_and_restores_rate():
 
 
 def test_gossip_loss_action_round_trips_json():
-    from repro.chaos import action_from_dict
+    from repro.chaos.actions import action_from_dict
     action = GossipLoss(500.0, rate=0.3, duration_ms=200.0)
     assert action_from_dict(action.to_dict()) == action
 

@@ -5,12 +5,9 @@ import importlib
 import pytest
 
 import repro
-import repro.cluster
 import repro.debugger
 import repro.demos
 import repro.metrics
-import repro.net
-import repro.publishing
 import repro.queueing
 import repro.sim
 import repro.txn
@@ -18,8 +15,8 @@ from repro import errors
 
 
 @pytest.mark.parametrize("module", [
-    repro, repro.sim, repro.net, repro.demos, repro.publishing,
-    repro.queueing, repro.txn, repro.debugger, repro.cluster, repro.metrics,
+    repro, repro.sim, repro.demos, repro.queueing, repro.txn,
+    repro.debugger, repro.metrics,
 ])
 def test_all_exports_resolve(module):
     for name in getattr(module, "__all__", []):
