@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from dataclasses import replace
 from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.demos.ids import MessageId, ProcessId
@@ -144,9 +143,8 @@ class ByzantineRecorder:
             out.append((message, True))
         elif mode == "corrupt":
             salt = self.rng.randrange(1 << 16)
-            out.append((replace(message,
-                                body=("corrupt", salt, message.body)),
-                        False))
+            out.append((message._replace(
+                body=("corrupt", salt, message.body)), False))
         elif mode == "bitrot":
             self._bitrot_pending.add(message.msg_id)
             out.append((message, False))
@@ -164,8 +162,8 @@ class ByzantineRecorder:
             self._bitrot_pending.discard(lm.message.msg_id)
             # mangle in place; the checksum stamped at append is now
             # stale and a verify=True read raises RecordCorruptionError
-            lm.message = replace(lm.message,
-                                 body=("bitrot", lm.message.body))
+            lm.message = lm.message._replace(
+                body=("bitrot", lm.message.body))
 
 
 class EquivocationPlan:
@@ -191,8 +189,8 @@ class EquivocationPlan:
             divergent = None
             if self.rate > 0.0 and self.rng.random() < self.rate:
                 salt = self.rng.randrange(1 << 16)
-                divergent = replace(message,
-                                    body=("equivocate", salt, message.body))
+                divergent = message._replace(
+                    body=("equivocate", salt, message.body))
                 self.equivocations += 1
             self._decisions[message.msg_id] = divergent
         return self._decisions[message.msg_id]

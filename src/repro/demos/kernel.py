@@ -91,13 +91,17 @@ class NodeCpu:
 
     def charge(self, duration: float, user: bool = False) -> float:
         """Consume ``duration`` ms of CPU; returns the completion time."""
-        start = self.busy_until
-        self._busy_until = start + duration
+        # busy_until and Counter.inc, inlined: every kernel call lands here
+        start = self._busy_until
+        now = self.engine.now
+        if start < now:
+            start = now
+        done = self._busy_until = start + duration
         if user:
-            self._user_ms.inc(duration)
+            self._user_ms.value += duration
         else:
-            self._kernel_ms.inc(duration)
-        return self._busy_until
+            self._kernel_ms.value += duration
+        return done
 
     def run(self, duration: float, fn: Callable[..., Any], *args: Any,
             user: bool = False) -> None:

@@ -16,15 +16,13 @@ operation while "assuming the identity" of the controlled process.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, Iterator, NamedTuple, Tuple
 
 from repro.demos.ids import ProcessId
 from repro.errors import LinkError
 
 
-@dataclass(frozen=True)
-class Link:
+class Link(NamedTuple):
     """An immutable capability to send messages to ``dst``.
 
     ``channel`` and ``code`` are stamped into the header of every message
@@ -43,7 +41,7 @@ class Link:
         Used by servers handing out per-resource links (e.g. the file
         system returns a link "whose code identifies the file").
         """
-        return replace(self, code=code)
+        return self._replace(code=code)
 
 
 class LinkTable:

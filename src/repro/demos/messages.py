@@ -16,55 +16,65 @@ published.
 from __future__ import annotations
 
 import itertools
-import sys
 from dataclasses import dataclass, field
-from functools import partial
-from typing import Any, Dict, Optional
+from typing import Any, Dict, NamedTuple, Optional
 
 from repro.demos.ids import MessageId, ProcessId
 from repro.demos.links import Link
-
-# Messages are the highest-volume allocation in a busy simulation, so
-# the classes below are slotted where the runtime supports it (slotted
-# frozen dataclasses need Python >= 3.10; 3.9 just loses the memory
-# saving, nothing else).
-if sys.version_info >= (3, 10):
-    _frozen = partial(dataclass, frozen=True, slots=True)
-else:                                           # pragma: no cover
-    _frozen = partial(dataclass, frozen=True)
 
 #: Default and maximum body sizes, matching the queuing model's short
 #: (128-byte) and long (1024-byte) message classes (§5.1).
 DEFAULT_BODY_BYTES = 128
 MAX_BODY_BYTES = 1024
 
+_tuple_new = tuple.__new__
 
-@_frozen()
-class Message:
-    """One DEMOS message in flight or in a queue."""
 
+# Messages are the highest-volume allocation in a busy simulation, so
+# they are tuple-backed records: cheaper to build than a frozen
+# dataclass, with the same repr (from which every frame checksum is
+# computed), equality, hash and immutability.
+class _MessageFields(NamedTuple):
     msg_id: MessageId            # (sender pid, sender's send sequence)
     src: ProcessId
     dst: ProcessId
     channel: int
     code: int
     body: Any
-    passed_link: Optional[Link] = None
-    size_bytes: int = DEFAULT_BODY_BYTES
-    deliver_to_kernel: bool = False
+    passed_link: Optional[Link]
+    size_bytes: int
+    deliver_to_kernel: bool
     #: Set on the marker the recovery process uses to hand a recovering
     #: process back to live traffic (see publishing.recovery_manager).
-    recovery_marker: bool = False
+    recovery_marker: bool
 
-    def __post_init__(self) -> None:
-        if not 0 < self.size_bytes <= MAX_BODY_BYTES:
+
+class Message(_MessageFields):
+    """One DEMOS message in flight or in a queue."""
+
+    __slots__ = ()
+
+    def __new__(cls, msg_id: MessageId, src: ProcessId, dst: ProcessId,
+                channel: int, code: int, body: Any,
+                passed_link: Optional[Link] = None,
+                size_bytes: int = DEFAULT_BODY_BYTES,
+                deliver_to_kernel: bool = False,
+                recovery_marker: bool = False) -> "Message":
+        if not 0 < size_bytes <= MAX_BODY_BYTES:
             raise ValueError(
                 f"message body must be 1..{MAX_BODY_BYTES} bytes, "
-                f"got {self.size_bytes}")
+                f"got {size_bytes}")
+        return _tuple_new(cls, (msg_id, src, dst, channel, code, body,
+                                passed_link, size_bytes, deliver_to_kernel,
+                                recovery_marker))
+
+    def _replace(self, **changes: Any) -> "Message":
+        # namedtuple's _replace builds through _make, which skips
+        # __new__ and with it the size check
+        return self.__class__(*super()._replace(**changes))
 
 
-@_frozen()
-class DeliveredMessage:
+class DeliveredMessage(NamedTuple):
     """What a program's ``on_message`` handler sees.
 
     The kernel has already moved any passed link into the receiver's
@@ -82,7 +92,7 @@ class DeliveredMessage:
 _control_counter = itertools.count(1)
 
 
-@_frozen()
+@dataclass(frozen=True)
 class Control:
     """A kernel-level protocol datagram.
 

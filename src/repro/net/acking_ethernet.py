@@ -64,7 +64,7 @@ class AckingEthernet(CsmaEthernet):
         else:
             duration_with_slot = duration
         self._busy_until = self.engine.now + duration_with_slot
-        self.stats.busy_time_ms += duration_with_slot
+        self._busy_time_ms.value += duration_with_slot
         self.engine.schedule(duration, self._complete_cb, iface, frame)
 
     def _complete(self, iface: NetworkInterface, frame: Frame) -> None:

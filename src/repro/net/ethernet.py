@@ -105,7 +105,7 @@ class CsmaEthernet(Medium):
             self._ack_collisions.inc()
         self.events.emit("collision", "bus", contenders=len(contenders))
         self._busy_until = self.engine.now + self.params.slot_time_ms
-        self.stats.busy_time_ms += self.params.slot_time_ms
+        self._busy_time_ms.value += self.params.slot_time_ms
         for iface, frame, attempt in contenders:
             attempt += 1
             if attempt >= self.params.max_attempts:
@@ -120,7 +120,7 @@ class CsmaEthernet(Medium):
     def _begin_transmission(self, iface: NetworkInterface, frame: Frame) -> None:
         duration = self.tx_time_ms(frame.size_bytes)
         self._busy_until = self.engine.now + duration
-        self.stats.busy_time_ms += duration
+        self._busy_time_ms.value += duration
         self.engine.schedule(duration, self._complete_cb, iface, frame)
 
     def _complete(self, iface: NetworkInterface, frame: Frame) -> None:

@@ -14,7 +14,7 @@ Fault totals live in the unified metrics registry (``faults.losses``,
 to a :class:`~repro.net.media.Medium` rebinds the counters into the
 medium's registry, so ``metrics`` CLI snapshots include injected faults.
 The ``losses`` / ``corruptions`` attributes remain available as
-compatibility properties, exactly as ``TransportStats`` does.
+read-only compatibility properties, exactly as ``TransportStats`` does.
 """
 
 from __future__ import annotations
@@ -87,17 +87,9 @@ class FaultPlan:
     def losses(self) -> int:
         return self._losses.value
 
-    @losses.setter
-    def losses(self, value: int) -> None:
-        self._losses.value = value
-
     @property
     def corruptions(self) -> int:
         return self._corruptions.value
-
-    @corruptions.setter
-    def corruptions(self, value: int) -> None:
-        self._corruptions.value = value
 
     @property
     def partition_drops(self) -> int:
@@ -167,16 +159,21 @@ class FaultPlan:
                         self._partition_drops.inc()
                     return None
                 return self._corrupted_copy(frame)
-        for fault in list(self._targeted):
-            if fault.remaining > 0 and fault.predicate(frame, receiver_node):
-                fault.remaining -= 1
-                if fault.remaining == 0:
-                    self._targeted.remove(fault)
-                if fault.action == "lose":
-                    self._losses.inc()
-                    return None
-                return self._corrupted_copy(frame)
-        if self.rng is not None:
+        if self._targeted:
+            for fault in list(self._targeted):
+                if (fault.remaining > 0
+                        and fault.predicate(frame, receiver_node)):
+                    fault.remaining -= 1
+                    if fault.remaining == 0:
+                        self._targeted.remove(fault)
+                    if fault.action == "lose":
+                        self._losses.inc()
+                        return None
+                    return self._corrupted_copy(frame)
+        # Zero rates draw nothing, so a fault-free plan neither creates
+        # nor looks up a receiver's stream.
+        if self.rng is not None and (self.loss_rate > 0
+                                     or self.corruption_rate > 0):
             stream = self.rng.stream(f"faults/{receiver_node}")
             if self.loss_rate > 0 and stream.random() < self.loss_rate:
                 self._losses.inc()

@@ -56,7 +56,7 @@ def crc16(data: bytes) -> int:
 def canonical_bytes(payload: Any) -> bytes:
     """A deterministic byte encoding of a payload object.
 
-    ``repr`` of the payload is stable for the dataclass payloads used by
+    ``repr`` of the payload is stable for the record payloads used by
     the transport and DEMOS layers (no ids or addresses appear in them).
     """
     return repr(payload).encode("utf-8", errors="replace")

@@ -36,7 +36,9 @@ class MediumStats:
     Benches and tests keep reading ``medium.stats.frames_offered`` etc.;
     these are now thin properties over ``MetricsRegistry`` counters under
     the medium's scope (``media.<kind>.*``), so ``registry.snapshot()``
-    reports the same values.
+    reports the same values. The per-frame figures (``frames_delivered``,
+    ``bytes_delivered``, ``busy_time_ms``) are read-only here: the medium
+    bumps their counters directly.
     """
 
     def __init__(self, registry: Optional[MetricsRegistry] = None,
@@ -63,25 +65,13 @@ class MediumStats:
     def frames_offered(self) -> int:
         return self._frames_offered.value
 
-    @frames_offered.setter
-    def frames_offered(self, value: int) -> None:
-        self._frames_offered.value = value
-
     @property
     def frames_delivered(self) -> int:
         return self._frames_delivered.value
 
-    @frames_delivered.setter
-    def frames_delivered(self, value: int) -> None:
-        self._frames_delivered.value = value
-
     @property
     def bytes_delivered(self) -> int:
         return self._bytes_delivered.value
-
-    @bytes_delivered.setter
-    def bytes_delivered(self, value: int) -> None:
-        self._bytes_delivered.value = value
 
     @property
     def collisions(self) -> int:
@@ -110,10 +100,6 @@ class MediumStats:
     @property
     def busy_time_ms(self) -> float:
         return self._busy_time_ms.value
-
-    @busy_time_ms.setter
-    def busy_time_ms(self, value: float) -> None:
-        self._busy_time_ms.value = value
 
     def utilization(self, elapsed_ms: float) -> float:
         """Fraction of elapsed time the medium was carrying bits."""
@@ -202,7 +188,12 @@ class Medium:
         self._frame_lost_to_recorder: Optional[Frame] = None
         self.obs = obs or Observability(lambda: engine.now)
         self.events = self.obs.scope(f"media.{self.kind}")
-        self.stats = MediumStats(self.obs.registry, f"media.{self.kind}")
+        stats = self.stats = MediumStats(self.obs.registry,
+                                         f"media.{self.kind}")
+        # Bound once and bumped directly on the per-frame paths.
+        self._frames_delivered = stats._frames_delivered
+        self._bytes_delivered = stats._bytes_delivered
+        self._busy_time_ms = stats._busy_time_ms
         # Fault totals belong in the same registry as the medium's own
         # figures, so `metrics` snapshots include injected faults.
         self.faults.bind(self.obs.registry)
@@ -337,8 +328,8 @@ class Medium:
             delivered = any(r.node_id == frame.dst_node and r.up
                             for r in self._recorder_ifaces)
         if delivered:
-            self.stats.frames_delivered += 1
-            self.stats.bytes_delivered += frame.size_bytes
+            self._frames_delivered.value += 1
+            self._bytes_delivered.value += frame.size_bytes
         self._notify_sender(frame, delivered)
 
     def _notify_recorders_of_delivery(self, frame: Frame) -> None:
@@ -406,7 +397,7 @@ class PerfectBroadcast(Medium):
         self._busy = True
         iface, frame = self._queue.popleft()
         duration = self.tx_time_ms(frame.size_bytes)
-        self.stats.busy_time_ms += duration
+        self._busy_time_ms.value += duration
         self.engine.schedule(duration, self._complete_cb, iface, frame)
 
     def _complete(self, iface: NetworkInterface, frame: Frame) -> None:

@@ -70,7 +70,7 @@ class StarHub(Medium):
         duration = self.tx_time_ms(frame.size_bytes)
         start = max(self.engine.now, self._link_busy_until[station_id])
         self._link_busy_until[station_id] = start + duration
-        self.stats.busy_time_ms += duration
+        self._busy_time_ms.value += duration
         self.engine.schedule_at(start + duration, self._link_done,
                                 station_id, frame, toward_hub)
 
@@ -130,7 +130,7 @@ class StarHub(Medium):
             if seen is not None:
                 iface.on_frame(seen)
                 if seen.checksum_ok():
-                    self.stats.frames_delivered += 1
-                    self.stats.bytes_delivered += frame.size_bytes
+                    self._frames_delivered.value += 1
+                    self._bytes_delivered.value += frame.size_bytes
                     self._notify_recorders_of_delivery(frame)
             return

@@ -80,7 +80,7 @@ class TokenRing(Medium):
         # the ack field to be filled).
         ring = self._ring_order_from(iface)
         serialization = frame.size_bytes * 8.0 / self.bandwidth_bps * 1000.0
-        self.stats.busy_time_ms += serialization + self.params.hop_time_ms * len(ring)
+        self._busy_time_ms.value += serialization + self.params.hop_time_ms * len(ring)
         self._advance(iface, frame, ring, index=0,
                       ack_filled=False, invalidated=False, delivered=False,
                       passes=0, delay=serialization)
@@ -112,7 +112,7 @@ class TokenRing(Medium):
                 # The destination sits upstream of the recorder: it saw an
                 # empty ack field on the first pass. Circulate once more
                 # with the field filled so it can read the message.
-                self.stats.busy_time_ms += self.params.hop_time_ms * len(ring)
+                self._busy_time_ms.value += self.params.hop_time_ms * len(ring)
                 self._advance(sender, frame, ring, 0, ack_filled,
                               invalidated, delivered, passes, delay=0.0)
                 return
@@ -121,8 +121,8 @@ class TokenRing(Medium):
             if sender.on_delivered is not None and frame.kind is FrameKind.DATA:
                 sender.on_delivered(frame, success)
             if success:
-                self.stats.frames_delivered += 1
-                self.stats.bytes_delivered += frame.size_bytes
+                self._frames_delivered.value += 1
+                self._bytes_delivered.value += frame.size_bytes
             self._seize_token()
             return
         station = ring[index]

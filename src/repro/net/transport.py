@@ -26,9 +26,9 @@ contend for the bus.
 from __future__ import annotations
 
 from collections import OrderedDict, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.errors import NetworkError
 from repro.net.frames import BROADCAST, Frame, FrameKind
@@ -38,9 +38,9 @@ from repro.sim.engine import Engine, EventHandle
 from repro.sim.rng import RngStreams
 
 
-@dataclass(frozen=True)
-class Segment:
-    """The transport payload carried inside a frame."""
+class Segment(NamedTuple):
+    """The transport payload carried inside a frame (a tuple-backed
+    record: one is built per message sent)."""
 
     uid: Tuple            # network-unique message identifier
     src_node: int
@@ -94,9 +94,9 @@ class TransportStats:
     """One node's transport figures, held in the unified registry.
 
     The attributes tests and benches read (``sent``, ``retransmissions``,
-    ...) are compatibility properties over ``MetricsRegistry`` counters
-    under ``transport.<node>.*``; ``registry.snapshot()`` reports the
-    same values.
+    ...) are read-only compatibility properties over ``MetricsRegistry``
+    counters under ``transport.<node>.*``; ``registry.snapshot()``
+    reports the same values. The transport bumps the counters directly.
     """
 
     _COUNTERS = ("sent", "delivered_up", "retransmissions",
@@ -114,10 +114,7 @@ class TransportStats:
         def getter(self):
             return getattr(self, f"_{field_name}").value
 
-        def setter(self, value):
-            getattr(self, f"_{field_name}").value = value
-
-        return property(getter, setter)
+        return property(getter)
 
     sent = _make_property("sent")
     delivered_up = _make_property("delivered_up")
@@ -177,7 +174,17 @@ class Transport:
                             if rng is not None else None)
         prefix = f"transport.{node_id}"
         self.events = self.obs.scope(prefix)
-        self.stats = TransportStats(self.obs.registry, prefix)
+        stats = self.stats = TransportStats(self.obs.registry, prefix)
+        # The registry counters, bound once and bumped directly: every
+        # frame sent or heard touches one of them.
+        self._sent = stats._sent
+        self._delivered_up = stats._delivered_up
+        self._retransmissions = stats._retransmissions
+        self._duplicates_suppressed = stats._duplicates_suppressed
+        self._dropped_bad_checksum = stats._dropped_bad_checksum
+        self._dropped_no_recorder_ack = stats._dropped_no_recorder_ack
+        self._acks_sent = stats._acks_sent
+        self._gave_up = stats._gave_up
         self._queue_depth = self.obs.registry.timeavg(f"{prefix}.queue_depth")
         self._backoff_ms = self.obs.registry.histogram(f"{prefix}.backoff_ms")
         #: global-window mode: the one FIFO of messages awaiting the window
@@ -231,7 +238,7 @@ class Transport:
                           stream_seq=stream_seq)
         total = size_bytes + self.config.header_bytes
         if not guaranteed:
-            self.stats.sent += 1
+            self._sent.value += 1
             self.iface.send(self._frame_for(segment, total))
             return
         out = _Outstanding(segment, total)
@@ -362,8 +369,8 @@ class Transport:
             return
         out.attempts += 1
         if out.attempts > 1:
-            self.stats.retransmissions += 1
-        self.stats.sent += 1
+            self._retransmissions.value += 1
+        self._sent.value += 1
         self.iface.send(self._frame_for(out.segment, out.size_bytes))
         self._arm_retry(out)
 
@@ -377,7 +384,7 @@ class Transport:
             del self._in_flight[out.segment.uid]
             self._release(out)
             self._queue_depth.update(self.queue_depth)
-            self.stats.gave_up += 1
+            self._gave_up.value += 1
             self.events.emit("gave_up", f"node{self.node_id}",
                              dst=out.segment.dst_node,
                              attempts=out.attempts)
@@ -406,7 +413,7 @@ class Transport:
     def _on_frame(self, frame: Frame) -> None:
         # Link layer: discard frames with bad checksums.
         if not frame.checksum_ok():
-            self.stats.dropped_bad_checksum += 1
+            self._dropped_bad_checksum.value += 1
             return
         if self.tap is not None:
             self.tap(frame)
@@ -422,11 +429,11 @@ class Transport:
             return
         if (self.config.require_recorder_ack and not frame.recorder_acked
                 and not self.iface.is_recorder):
-            self.stats.dropped_no_recorder_ack += 1
+            self._dropped_no_recorder_ack.value += 1
             return
         if segment.guaranteed:
             if segment.uid in self._dedup:
-                self.stats.duplicates_suppressed += 1
+                self._duplicates_suppressed.value += 1
                 self._ack(segment)     # re-ack: the first ack may have died
                 return
             self._remember(segment.uid)
@@ -439,7 +446,7 @@ class Transport:
             if segment.stream_seq is not None:
                 self._deliver_in_stream_order(segment)
                 return
-        self.stats.delivered_up += 1
+        self._delivered_up.value += 1
         self.on_receive(segment)
 
     def _deliver_in_stream_order(self, segment: Segment) -> None:
@@ -454,7 +461,7 @@ class Transport:
         while expected in held:
             ready = held.pop(expected)
             expected += 1
-            self.stats.delivered_up += 1
+            self._delivered_up.value += 1
             self.on_receive(ready)
         self._expected_seq[src] = expected
 
@@ -470,7 +477,7 @@ class Transport:
             return
         if segment.src_node == self.node_id:
             return
-        self.stats.acks_sent += 1
+        self._acks_sent.value += 1
         ack = Frame(kind=FrameKind.ACK, src_node=self.node_id,
                     dst_node=segment.src_node,
                     payload=("e2e-ack", segment.uid),

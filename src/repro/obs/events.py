@@ -17,19 +17,32 @@ human actually looks at a record.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Optional
+from typing import Any, Callable, Dict, Iterator, List, NamedTuple, Optional
+
+_tuple_new = tuple.__new__
 
 
-@dataclass(frozen=True)
-class Event:
-    """One event: when, which layer, what happened, to whom."""
-
+class _EventFields(NamedTuple):
     time: float
     scope: str
     category: str
     subject: str
-    detail: Dict[str, Any] = field(default_factory=dict)
+    detail: Dict[str, Any]
+
+
+class Event(_EventFields):
+    """One event: when, which layer, what happened, to whom.
+
+    A tuple-backed record, since one is built per emitted event; an
+    omitted ``detail`` is a fresh empty dict, never a shared one.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, time: float, scope: str, category: str, subject: str,
+                detail: Optional[Dict[str, Any]] = None) -> "Event":
+        return _tuple_new(cls, (time, scope, category, subject,
+                                {} if detail is None else detail))
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         extras = " ".join(f"{k}={v}" for k, v in self.detail.items())

@@ -21,6 +21,7 @@ uniform read path the benchmarks and the CLI use.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 
@@ -105,7 +106,12 @@ class TimeWeightedAverage:
 
 
 class Histogram:
-    """Count / sum / min / max, plus optional bucket counts."""
+    """Count / sum / min / max, plus optional bucket counts.
+
+    Bucket ``i`` counts the values ``<= buckets[i]`` not counted by an
+    earlier bucket; the last, extra bucket counts the rest. The bounds
+    must be sorted ascending.
+    """
 
     __slots__ = ("name", "buckets", "bucket_counts", "count", "total",
                  "min", "max")
@@ -113,6 +119,10 @@ class Histogram:
     def __init__(self, name: str, buckets: Optional[Sequence[float]] = None):
         self.name = name
         self.buckets = tuple(buckets) if buckets else ()
+        if any(a > b for a, b in zip(self.buckets, self.buckets[1:])):
+            raise ValueError(
+                f"histogram {name!r} bucket bounds must be sorted "
+                f"ascending, got {self.buckets}")
         self.bucket_counts = [0] * (len(self.buckets) + 1)
         self.count = 0
         self.total = 0.0
@@ -127,11 +137,8 @@ class Histogram:
         if self.max is None or value > self.max:
             self.max = value
         if self.buckets:
-            for i, bound in enumerate(self.buckets):
-                if value <= bound:
-                    self.bucket_counts[i] += 1
-                    return
-            self.bucket_counts[-1] += 1
+            # the first bound >= value, or the overflow bucket past them
+            self.bucket_counts[bisect_left(self.buckets, value)] += 1
 
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0

@@ -57,10 +57,11 @@ def payload_digest(message) -> int:
     (unlike ``hash()``, which is salted for strings). Two messages agree
     on the digest iff a replayed process could not tell them apart.
     """
-    return crc32(repr((message.msg_id, message.src, message.dst,
-                       message.channel, message.code, message.body,
-                       message.size_bytes, message.deliver_to_kernel,
-                       message.recovery_marker))
+    # The digest is of the plain tuple of every field except
+    # ``passed_link`` (index 6), in field order. Stored checksums and
+    # committed replay digests depend on that exact tuple, so adding,
+    # removing or reordering a Message field changes them all.
+    return crc32(repr(message[:6] + message[7:])
                  .encode("utf-8", "backslashreplace"))
 
 

@@ -125,7 +125,10 @@ class EngineCore:
     """
 
     def __init__(self) -> None:
-        self._now = 0.0
+        #: current simulated time in milliseconds; a plain attribute
+        #: because every layer reads it per event. Only the engine
+        #: writes it.
+        self.now = 0.0
         self._seq = 0
         #: heap of ``(time, seq, handle)`` — the tuple prefix keeps all
         #: sift comparisons in C; seq is unique so the handle never
@@ -139,11 +142,6 @@ class EngineCore:
     # ------------------------------------------------------------------
     # time
     # ------------------------------------------------------------------
-    @property
-    def now(self) -> float:
-        """Current simulated time in milliseconds."""
-        return self._now
-
     @property
     def events_fired(self) -> int:
         """Total number of events dispatched so far (for diagnostics)."""
@@ -162,7 +160,7 @@ class EngineCore:
                     f"cannot schedule into the past (delay={delay})")
         seq = self._seq + 1
         self._seq = seq
-        time = self._now + delay
+        time = self.now + delay
         free = self._free
         if free:
             handle = free.pop()
@@ -179,7 +177,7 @@ class EngineCore:
 
     def schedule_at(self, time: float, fn: Callable[..., Any], *args: Any) -> EventHandle:
         """Schedule ``fn(*args)`` to run at absolute time ``time``."""
-        return self.schedule(time - self._now, fn, *args)
+        return self.schedule(time - self.now, fn, *args)
 
     def schedule_abs(self, time: float, fn: Callable[..., Any], *args: Any) -> EventHandle:
         """Schedule ``fn(*args)`` at the *exact* absolute timestamp.
@@ -187,11 +185,11 @@ class EngineCore:
         ``schedule_at`` computes ``now + (time - now)``, which can land
         an ulp away from ``time``.
         """
-        if time < self._now:
-            if time < self._now - NEGATIVE_DELAY_EPSILON_MS:
+        if time < self.now:
+            if time < self.now - NEGATIVE_DELAY_EPSILON_MS:
                 raise SimulationError(
-                    f"cannot schedule into the past (at={time}, now={self._now})")
-            time = self._now
+                    f"cannot schedule into the past (at={time}, now={self.now})")
+            time = self.now
         seq = self._seq + 1
         self._seq = seq
         free = self._free
@@ -271,7 +269,7 @@ class EngineCore:
                 if until is not None and time > until:
                     break
                 heappop(heap)
-                self._now = time
+                self.now = time
                 fn = handle.fn
                 args = handle.args
                 # Recycle before dispatch: the callback's own schedules
@@ -292,9 +290,9 @@ class EngineCore:
                     break
         finally:
             self._running = False
-        if until is not None and self._now < until:
-            self._now = until
-        return self._now
+        if until is not None and self.now < until:
+            self.now = until
+        return self.now
 
     def step(self) -> bool:
         """Dispatch a single event. Returns False if none are pending."""
@@ -305,7 +303,7 @@ class EngineCore:
                 self._cancelled -= 1
                 self._recycle(handle)
                 continue
-            self._now = handle.time
+            self.now = handle.time
             fn = handle.fn
             args = handle.args
             self._recycle(handle)

@@ -4,6 +4,11 @@ import random
 
 import pytest
 
+from conftest import (
+    expected_totals,
+    register_test_programs,
+    run_counter_scenario,
+)
 from repro.net.frames import (
     BROADCAST,
     Frame,
@@ -13,6 +18,7 @@ from repro.net.frames import (
 )
 from repro.net.faults import FaultPlan
 from repro.sim.rng import RngStreams
+from repro.system import System, SystemConfig
 
 
 def crc16_bitwise(data: bytes) -> int:
@@ -164,6 +170,45 @@ class TestFaultPlan:
         assert seen is not frame
         assert not seen.checksum_ok()
         assert frame.checksum_ok()                  # original untouched
+
+    def test_zero_rates_create_no_stream(self):
+        rng = RngStreams(1)
+        plan = FaultPlan(rng=rng)
+        frame = make_frame()
+        assert all(plan.apply(frame, node) is frame for node in (1, 2, 99))
+        assert not any(name.startswith("faults/") for name in rng._streams)
+
+    def test_fault_free_run_creates_no_fault_stream(self):
+        system = System(SystemConfig(nodes=2, master_seed=7))
+        register_test_programs(system)
+        system.boot()
+        run_counter_scenario(system, n=30)
+        system.run(20000)
+        assert system.faults.losses == system.faults.corruptions == 0
+        assert system.engine.events_fired == 522
+        assert not any(name.startswith("faults/")
+                       for name in system.rng._streams)
+
+    @pytest.mark.parametrize("medium,corruption_rate,expected", [
+        ("broadcast", 0.0, (64, 0, 815)),
+        ("broadcast", 0.05, (80, 26, 979)),
+        ("csma_ethernet", 0.05, (105, 38, 3510)),
+    ])
+    def test_seeded_lossy_run_keeps_its_fault_counts(
+            self, medium, corruption_rate, expected):
+        # (losses, corruptions, events) pinned from the plan that looked
+        # up its receiver's stream on every delivery
+        system = System(SystemConfig(nodes=2, master_seed=7, medium=medium,
+                                     loss_rate=0.1,
+                                     corruption_rate=corruption_rate))
+        register_test_programs(system)
+        system.boot()
+        _, sender = run_counter_scenario(system, n=30)
+        system.run(20000)
+        assert (system.faults.losses, system.faults.corruptions,
+                system.engine.events_fired) == expected
+        replies = system.nodes[1].kernel.processes[sender].program.replies
+        assert replies == expected_totals(30)
 
     def test_probabilistic_loss_rate(self):
         plan = FaultPlan(rng=RngStreams(1), loss_rate=0.5)

@@ -6,9 +6,11 @@ event streams and metric snapshots, a disabled scope emits nothing, and
 the legacy stats surfaces are views over the shared registry.
 """
 
+import random
+
 import pytest
 
-from repro.obs import EventBus, MetricsRegistry, Observability
+from repro.obs import EventBus, Histogram, MetricsRegistry, Observability
 from repro.sim.trace import TraceLog
 from repro.system import System, SystemConfig
 
@@ -131,6 +133,32 @@ class TestMetricsRegistry:
         assert snap["count"] == 4
         assert snap["min"] == 32 and snap["max"] == 4000
         assert snap["buckets"] == {"le_64": 2, "le_512": 1, "inf": 1}
+
+    def test_histogram_bucket_search_matches_a_linear_scan(self):
+        bounds = (0.5, 1, 2.5, 8, 64, 64.5, 1000)
+        h = Histogram("h", buckets=bounds)
+        rng = random.Random(1983)
+        values = [rng.uniform(-10, 1100) for _ in range(2000)]
+        values += [float(b) for b in bounds] + list(bounds)  # on a bound
+        values += [rng.choice(bounds) for _ in range(200)]
+        reference = [0] * (len(bounds) + 1)
+        for value in values:
+            h.observe(value)
+            for i, bound in enumerate(bounds):
+                if value <= bound:
+                    reference[i] += 1
+                    break
+            else:
+                reference[-1] += 1
+        assert h.bucket_counts == reference
+        assert h.count == len(values)
+
+    @pytest.mark.parametrize("buckets", [(512, 64), (1, 3, 2)])
+    def test_histogram_rejects_unsorted_bounds(self, buckets):
+        with pytest.raises(ValueError):
+            Histogram("h", buckets=buckets)
+        with pytest.raises(ValueError):
+            MetricsRegistry().histogram("h", buckets=buckets)
 
     def test_snapshot_is_name_sorted(self):
         reg = MetricsRegistry()

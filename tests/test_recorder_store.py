@@ -255,9 +255,8 @@ class TestVerifiedReplay:
 
     @staticmethod
     def corrupt(record, seq):
-        from dataclasses import replace
         lm = record._live[seq - 1]
-        lm.message = replace(lm.message, body=("bitrot", lm.message.body))
+        lm.message = lm.message._replace(body=("bitrot", lm.message.body))
         return lm
 
     def test_append_stamps_a_checksum(self):
